@@ -24,11 +24,9 @@
 #include "obs/metrics.h"
 #include "obs/pmu.h"
 #include "obs/registry.h"
-#include "obs/timeseries.h"
 #include "util/flags.h"
 #include "util/summary.h"
 #include "util/table.h"
-#include "util/warn_once.h"
 
 namespace tsx::bench {
 
@@ -40,9 +38,8 @@ struct ObsSettings {
   bool abort_report = false;
   bool perf_stat = false;
   bool timeseries = false;
-  bool metrics = false;     // --metrics or --flamegraph (hub-backed exports)
-  core::Cycles sample_interval = 0;
-  core::Cycles metrics_window = 0;  // hub window; 0 = hub off
+  bool metrics = false;     // --metrics or --flamegraph
+  core::Cycles metrics_window = 0;  // window length; 0 = one whole-run window
   bool enabled() const {
     return trace || abort_report || perf_stat || timeseries || metrics;
   }
@@ -60,7 +57,6 @@ inline void apply_obs(core::RunConfig& cfg, const std::string& label) {
   const ObsSettings& s = obs_settings();
   if (!s.enabled() || label.empty()) return;
   cfg.obs.enabled = true;
-  cfg.obs.sample_interval = s.sample_interval;
   cfg.obs.metrics.window_cycles = s.metrics_window;
   cfg.obs.label = label;
 }
@@ -234,17 +230,15 @@ class ObsFlusher {
 // trace.json; load in Perfetto / chrome://tracing), --abort-report[=FILE]
 // (per-call-site abort attribution table, to FILE or stderr when bare),
 // --perf-stat[=FILE] (perf-stat-style simulated-PMU report per measured run,
-// to FILE or stderr when bare), --timeseries[=FILE] (counter time-series
-// CSV, default timeseries.csv; needs --sample-interval),
-// --metrics[=FILE] (OpenMetrics text exposition of the per-window metric
-// series per cell, default metrics.prom), --flamegraph[=FILE]
-// (collapsed-stack wasted-cycle flame profile, default flamegraph.folded;
-// feed to flamegraph.pl or speedscope), --metrics-window=CYCLES
-// (simulated-time window for the metrics hub; defaults to 10000 when
-// --metrics/--flamegraph is given),
-// --sample-interval=CYCLES (counter-sampling window for the time series and
-// the trace's counter tracks; --energy-window is a deprecated alias),
-// --energy-split (extra committed/wasted energy columns in the energy
+// to FILE or stderr when bare), --timeseries[=FILE] (CSV of the counters
+// at each window boundary, default timeseries.csv), --metrics[=FILE]
+// (OpenMetrics text exposition of the per-window metric series per cell,
+// default metrics.prom), --flamegraph[=FILE] (collapsed-stack wasted-cycle
+// flame profile, default flamegraph.folded; feed to flamegraph.pl or
+// speedscope), --metrics-window=CYCLES (the one window length: window
+// deltas, the boundary snapshots behind --timeseries and the trace's
+// counter tracks; defaults to 10000 when --metrics, --flamegraph or
+// --timeseries is given), --energy-split (extra committed/wasted energy columns in the energy
 // drivers' CSV output; default output stays byte-identical),
 // --progress[=BOOL] (force sweep progress lines on/off; default: only when
 // stderr is a TTY, see harness::RunnerOptions::assume_tty),
@@ -265,8 +259,7 @@ struct BenchArgs {
   std::string timeseries;   // resolved CSV file; "" = off
   std::string metrics;      // OpenMetrics file; "" = off, "-" = stderr
   std::string flamegraph;   // collapsed-stack file; "" = off, "-" = stderr
-  core::Cycles sample_interval = 0;
-  core::Cycles metrics_window = 0;  // resolved hub window; 0 = hub off
+  core::Cycles metrics_window = 0;  // resolved window; 0 = whole run
   bool energy_split = false;
   int progress = -1;        // -1 auto (isatty), 0 off, 1 on
   // Keeps the exporters alive until the last BenchArgs copy dies.
@@ -299,27 +292,11 @@ struct BenchArgs {
       if (a.flamegraph == "true") a.flamegraph = "flamegraph.folded";
       int64_t mw = flags.get_int("metrics-window", 0);
       if (mw < 0) throw std::invalid_argument("--metrics-window must be >= 0");
-      if (mw == 0 && (!a.metrics.empty() || !a.flamegraph.empty())) {
-        mw = 10000;  // hub exports requested: a sane default window
+      if (mw == 0 && (!a.metrics.empty() || !a.flamegraph.empty() ||
+                      !a.timeseries.empty())) {
+        mw = 10000;  // window exports requested: a sane default window
       }
       a.metrics_window = static_cast<core::Cycles>(mw);
-      int64_t si = flags.get_int("sample-interval", 0);
-      if (si < 0) throw std::invalid_argument("--sample-interval must be >= 0");
-      if (flags.has("energy-window")) {
-        // Deprecated alias from before the sampler unification; honored only
-        // when --sample-interval is absent.
-        int64_t ew = flags.get_int("energy-window", 0);
-        if (ew < 0) throw std::invalid_argument("--energy-window must be >= 0");
-        // Once per run, never once per sweep cell: deprecation (and any
-        // other repeatable stderr warning) goes through util::warn_once so
-        // serial and --jobs N stderr stay identical.
-        util::warn_once("flags:energy-window-deprecated",
-                        std::string(argv[0]) +
-                            ": --energy-window is deprecated; use "
-                            "--sample-interval=CYCLES");
-        if (si == 0) si = ew;
-      }
-      a.sample_interval = static_cast<core::Cycles>(si);
       a.energy_split = flags.get_bool("energy-split", false);
       a.progress = flags.has("progress")
                        ? (flags.get_bool("progress", true) ? 1 : 0)
@@ -343,7 +320,6 @@ struct BenchArgs {
       s.perf_stat = !a.perf_stat.empty();
       s.timeseries = !a.timeseries.empty();
       s.metrics = !a.metrics.empty() || !a.flamegraph.empty();
-      s.sample_interval = a.sample_interval;
       s.metrics_window = a.metrics_window;
       if (s.enabled()) {
         a.obs_flusher = std::make_shared<ObsFlusher>(
@@ -394,9 +370,9 @@ inline harness::RunnerOptions runner_options(const BenchArgs& args,
                         obs::Registry::global().counter_digest()));
       return std::string(hex);
     };
-    // Windowed-metrics fingerprint (hub windows + phase events + flame
-    // edges). Absent when no capture carries metrics (hub off); label-sorted
-    // in the registry, so --jobs-invariant like counter_digest.
+    // Window-series fingerprint (window deltas + phase events + flame
+    // edges). Absent when no capture carries a series (no window);
+    // label-sorted in the registry, so --jobs-invariant like counter_digest.
     opt.metrics_digest_fn = [] {
       std::optional<uint64_t> d = obs::Registry::global().metrics_digest();
       if (!d) return std::string();

@@ -30,6 +30,7 @@
 #include "elide/elide.h"
 #include "obs/histogram.h"
 #include "sim/rng.h"
+#include "util/warn_once.h"
 
 namespace tsx::bench::server {
 

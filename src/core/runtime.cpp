@@ -87,13 +87,8 @@ TxRuntime::TxRuntime(RunConfig cfg) : cfg_(std::move(cfg)) {
   heap_ = std::make_unique<mem::SimHeap>(*machine_, cfg_.heap);
 
   if (cfg_.obs.enabled) {
-    pmu_ = std::make_unique<obs::Pmu>(cfg_.threads);
-    sink_ = std::make_unique<obs::TraceSink>(cfg_.obs.capacity);
-    sink_->set_pmu(pmu_.get());
-    if (cfg_.obs.metrics.window_cycles > 0) {
-      hub_ = std::make_unique<obs::MetricsHub>(cfg_.obs.metrics);
-      sink_->set_hub(hub_.get());
-    }
+    const Cycles window = cfg_.obs.metrics.window_cycles;
+    sink_ = std::make_unique<obs::TraceSink>(cfg_.obs.capacity, window);
     obs::TraceSink* s = sink_.get();
     sim::ObsHooks hooks;
     hooks.on_tx_begin = [s](CtxId c, Cycles t) { s->tx_begin(c, t); };
@@ -105,12 +100,12 @@ TxRuntime::TxRuntime(RunConfig cfg) : cfg_(std::move(cfg)) {
     hooks.on_tx_evict = [s](CtxId c, Cycles t, int level, uint64_t line) {
       s->evict(c, t, level, line);
     };
-    if (cfg_.obs.sample_interval) {
+    if (window) {
       hooks.on_sample_window = [s](Cycles t, const sim::MachineStats& st) {
-        s->energy_sample(t, st);
+        s->window_boundary(t, st);
       };
     }
-    machine_->set_obs_hooks(std::move(hooks), cfg_.obs.sample_interval);
+    machine_->set_obs_hooks(std::move(hooks), window);
   }
 
   // Runtime region: the backends' synchronization objects, one line each
@@ -136,12 +131,12 @@ TxRuntime::~TxRuntime() {
 }
 
 std::optional<obs::MetricsData> TxRuntime::metrics_data() {
-  if (!hub_) return std::nullopt;
-  return hub_->finalize(ran_ ? machine_->wall() : 0);
+  if (!sink_ || cfg_.obs.metrics.window_cycles == 0) return std::nullopt;
+  return sink_->metrics_data(ran_ ? machine_->wall() : 0);
 }
 
 std::optional<obs::PmuData> TxRuntime::pmu_data() const {
-  if (!pmu_) return std::nullopt;
+  if (!sink_) return std::nullopt;
   std::vector<Cycles> finish(cfg_.threads, 0);
   std::vector<Cycles> busy(cfg_.threads, 0);
   if (ran_) {
@@ -150,7 +145,7 @@ std::optional<obs::PmuData> TxRuntime::pmu_data() const {
       busy[i] = machine_->ctx_busy(i);
     }
   }
-  obs::PmuData d = pmu_->finalize(
+  obs::PmuData d = sink_->pmu_data(
       machine_->snapshot(), ran_ ? machine_->wall() : 0, finish, busy,
       ran_ ? machine_->core_busy_cycles() : 0.0, cfg_.machine.energy,
       cfg_.machine.freq_ghz);

@@ -50,22 +50,19 @@ using sim::CtxId;
 using sim::Cycles;
 using sim::Word;
 
-// Structured-event tracing (src/obs). When `enabled`, the runtime owns a
-// bounded obs::TraceSink, wires it into the machine and the executor, and —
-// if `label` is non-empty — registers the capture with obs::Registry::global()
-// at destruction so exporters can drain it after the run.
+// Structured-event tracing (src/obs). When `enabled`, the runtime owns an
+// obs::TraceSink (the event fold), wires it into the machine and the
+// executor, and — if `label` is non-empty — registers the capture with
+// obs::Registry::global() at destruction so exporters can drain it after
+// the run.
 struct ObsConfig {
   bool enabled = false;
   size_t capacity = size_t{1} << 16;  // ring capacity in events
-  // Counter-sampling interval in simulated cycles; 0 = no samples. Drives
-  // both the kEnergy trace events and the PMU time series (one sampling
-  // path). Formerly named `energy_window`.
-  Cycles sample_interval = 0;
   std::string label;  // registry key; sorted at drain time
-  // Windowed live-metrics plane (obs::MetricsHub): metrics.window_cycles > 0
-  // folds the event stream into fixed windows with online phase detection;
-  // 0 (default) leaves the hub off. The other MetricsConfig fields tune the
-  // phase detector.
+  // metrics.window_cycles > 0 folds the event stream into fixed windows
+  // (window deltas, boundary counter snapshots, online phase detection);
+  // 0 (default) folds the run into one whole-run window and exports no
+  // series.
   obs::MetricsConfig metrics{};
 };
 
@@ -178,20 +175,16 @@ class TxRuntime {
 
   sim::Machine& machine() { return *machine_; }
   mem::SimHeap& heap() { return *heap_; }
-  // Null unless cfg.obs.enabled.
+  // The event fold; null unless cfg.obs.enabled. Subscribe before run()
+  // for live sealed-window callbacks — the AdaptivePolicy seam.
   obs::TraceSink* trace_sink() { return sink_.get(); }
-  // The simulated PMU (null unless cfg.obs.enabled). Fed by the sink.
-  obs::Pmu* pmu() { return pmu_.get(); }
   // Finalized PMU data — counters, cycle attribution, energy split,
-  // histograms, samples. Empty unless cfg.obs.enabled; valid after run().
+  // histograms. Empty unless cfg.obs.enabled; valid after run().
   std::optional<obs::PmuData> pmu_data() const;
-  // The windowed metrics hub (null unless cfg.obs.enabled and
-  // cfg.obs.metrics.window_cycles > 0). Subscribe before run() for live
-  // sealed-window callbacks — the AdaptivePolicy seam.
-  obs::MetricsHub* metrics_hub() { return hub_.get(); }
-  // Finalized window series, phase boundaries and flame profile. Empty
-  // unless the hub is on; valid after run(). Non-const: finalizing seals
-  // the hub's remaining windows (idempotent, repeatable).
+  // Finalized window series and phase boundaries. Empty unless
+  // cfg.obs.enabled and cfg.obs.metrics.window_cycles > 0; valid after
+  // run(). Non-const: finalizing seals the remaining windows (idempotent,
+  // repeatable).
   std::optional<obs::MetricsData> metrics_data();
   // The one concurrency-control executor this runtime dispatches through.
   TxExecutor& executor() { return *exec_; }
@@ -221,8 +214,6 @@ class TxRuntime {
   RunConfig cfg_;
   std::unique_ptr<sim::Machine> machine_;
   std::unique_ptr<mem::SimHeap> heap_;
-  std::unique_ptr<obs::Pmu> pmu_;         // before sink_: the sink borrows it
-  std::unique_ptr<obs::MetricsHub> hub_;  // before sink_: the sink borrows it
   std::unique_ptr<obs::TraceSink> sink_;  // before exec_: executors borrow it
   std::unique_ptr<TxExecutor> exec_;
   std::vector<std::unique_ptr<TxCtx>> ctxs_;

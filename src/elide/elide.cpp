@@ -66,8 +66,8 @@ void LockBase::account(core::TxCtx& ctx, obs::ElideAcqKind kind,
     }
   }
   if (obs::TraceSink* s = rt_.trace_sink()) {
-    s->elide_acquire(id_, ctx.id(), ctx.now(), kind, attempts, elided_c,
-                     wasted_c, tripped);
+    s->elide_acquire(id_, ctx.now(), kind, attempts, elided_c, wasted_c,
+                     tripped);
   }
 }
 

@@ -13,13 +13,6 @@ namespace tsx::obs {
 
 namespace {
 
-std::string site_label(const Capture& c, uint32_t site) {
-  auto it = c.site_names.find(site);
-  if (it != c.site_names.end()) return it->second;
-  if (site == kNoSite) return "(none)";
-  return "site#" + std::to_string(site);
-}
-
 // Top-k entries of a count map, "key:count" joined with spaces; ties break
 // toward the smaller key so the report is deterministic.
 template <typename Map, typename KeyFmt>
@@ -58,7 +51,7 @@ void write_abort_report(std::ostream& os,
           a.aborts_by_reason[static_cast<size_t>(r)]));
     };
     for (const auto& [site, agg] : c.sites) {
-      t.add_row({site_label(c, site),
+      t.add_row({site_name(c, site),
                  util::Table::fmt_int(static_cast<int64_t>(agg.attempts)),
                  util::Table::fmt_int(static_cast<int64_t>(agg.commits)),
                  util::Table::fmt_int(static_cast<int64_t>(agg.fallbacks)),
@@ -81,7 +74,7 @@ void write_abort_report(std::ostream& os,
                          }();
                        }),
                  top_k(agg.attacker_sites, 3, [&](uint32_t s) {
-                   return site_label(c, s);
+                   return site_name(c, s);
                  })});
     }
     t.print(os);

@@ -122,15 +122,6 @@ void write_capture(Emitter& em, const Capture& c, int pid) {
                util::json_escape(site_label(c, e.site)) +
                "\",\"backoff_cycles\":" + std::to_string(e.backoff) + "}}");
         break;
-      case EventKind::kEnergy: {
-        Event ce = e;
-        ce.ctx = 0;
-        em.raw(base("C", ce, e.t) + ",\"name\":\"machine counters\"" +
-               ",\"args\":{\"ops\":" + std::to_string(e.ops) +
-               ",\"commits\":" + std::to_string(e.commits) +
-               ",\"aborts\":" + std::to_string(e.aborts) + "}}");
-        break;
-      }
     }
   }
   // Transactions still open when tracing ended.
@@ -143,38 +134,37 @@ void write_capture(Emitter& em, const Capture& c, int pid) {
            " (unfinished)\",\"args\":{}}");
   }
 
-  // PMU counter tracks (--sample-interval): the sample stream rendered as
-  // Chrome counter ("C") events alongside the span events above.
-  if (c.pmu) {
+  if (c.metrics) {
+    // PMU counter tracks: each window's boundary snapshot rendered as Chrome
+    // counter ("C") events alongside the span events above.
     Event ce;  // counters are process-scoped; park them on tid 0
     ce.ctx = 0;
-    for (const PmuSample& s : c.pmu->samples) {
-      em.raw(base("C", ce, s.t) + ",\"name\":\"pmu tx\",\"args\":{\"starts\":" +
-             std::to_string(s.tx_starts) +
-             ",\"commits\":" + std::to_string(s.tx_commits) +
-             ",\"aborts\":" + std::to_string(s.tx_aborts) + "}}");
-      em.raw(base("C", ce, s.t) +
+    for (const MetricsWindow& w : c.metrics->windows) {
+      if (!w.end) continue;
+      const sim::MachineStats& m = w.end->machine;
+      sim::Cycles t = w.start + c.metrics->window_cycles;
+      em.raw(base("C", ce, t) + ",\"name\":\"pmu tx\",\"args\":{\"starts\":" +
+             std::to_string(m.tx.started) +
+             ",\"commits\":" + std::to_string(m.tx.committed) +
+             ",\"aborts\":" + std::to_string(m.tx.aborted()) + "}}");
+      em.raw(base("C", ce, t) +
              ",\"name\":\"pmu tx cycles\",\"args\":{\"committed\":" +
-             std::to_string(s.committed_cycles) +
-             ",\"wasted\":" + std::to_string(s.wasted_cycles) + "}}");
-      em.raw(base("C", ce, s.t) +
+             std::to_string(w.end->committed_cycles) +
+             ",\"wasted\":" + std::to_string(w.end->wasted_cycles) + "}}");
+      em.raw(base("C", ce, t) +
              ",\"name\":\"pmu memory\",\"args\":{\"l1_hits\":" +
-             std::to_string(s.l1_hits) +
-             ",\"l2_hits\":" + std::to_string(s.l2_hits) +
-             ",\"l3_hits\":" + std::to_string(s.l3_hits) +
-             ",\"mem\":" + std::to_string(s.mem_accesses) + "}}");
+             std::to_string(m.mem.l1_hits) +
+             ",\"l2_hits\":" + std::to_string(m.mem.l2_hits) +
+             ",\"l3_hits\":" + std::to_string(m.mem.l3_hits) +
+             ",\"mem\":" + std::to_string(m.mem.mem_accesses) + "}}");
     }
-  }
 
-  // Phase boundaries from the metrics hub: process-scoped instant events, so
-  // the detected steady/flash-crowd/write-burst edges line up against the
-  // span and counter tracks above.
-  if (c.metrics) {
+    // Detected phase boundaries: process-scoped instant events, so the
+    // steady/flash-crowd/write-burst edges line up against the span and
+    // counter tracks above.
     static const char* kChannelNames[] = {"activity", "abort-rate",
                                           "wasted-share"};
     for (const PhaseEvent& pe : c.metrics->phases) {
-      Event ce;
-      ce.ctx = 0;
       const char* chan =
           pe.channel >= 0 && pe.channel < 3 ? kChannelNames[pe.channel] : "?";
       em.raw(base("i", ce, pe.t) + ",\"s\":\"p\",\"name\":\"phase change\"" +

@@ -5,8 +5,7 @@
 // the capture label), one track ("thread") per simulated hardware thread.
 // Transaction attempts become complete ("X") duration events; aborts,
 // capacity evictions and retry decisions become instant ("i") events;
-// sample-window snapshots and the PMU time series become counter ("C")
-// events.
+// the window series' boundary snapshots become counter ("C") events.
 //
 // Timestamps convert simulated cycles to microseconds with the capture's
 // core frequency and fixed 3-digit precision, so the output is byte-stable.

@@ -20,8 +20,6 @@ enum class EventKind : uint8_t {
   kTxAbort,      // attempt aborted (reason/line/attacker valid)
   kEvict,        // a capacity-tracked line left its tracking structure
   kRetry,        // retry-policy decision after a failed attempt
-  kEnergy,       // sample-window counter snapshot (--sample-interval; the
-                 // historical name, from the original --energy-window flag)
 };
 
 const char* event_kind_name(EventKind k);
@@ -55,11 +53,6 @@ struct Event {
   // fallback taken
   uint8_t decision = 0;
   sim::Cycles backoff = 0;
-
-  // kEnergy: cumulative machine counters at the window boundary
-  uint64_t ops = 0;
-  uint64_t commits = 0;
-  uint64_t aborts = 0;
 };
 
 }  // namespace tsx::obs

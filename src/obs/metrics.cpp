@@ -4,9 +4,9 @@
 #include <cmath>
 #include <ostream>
 
-#include "obs/events.h"
 #include "obs/registry.h"
 #include "util/json.h"
+#include "util/table.h"
 
 namespace tsx::obs {
 
@@ -55,8 +55,6 @@ double channel_value(int c, const MetricsWindow& w) {
 
 }  // namespace
 
-PhaseDetector::PhaseDetector(const MetricsConfig& cfg) : cfg_(cfg) {}
-
 void PhaseDetector::reset_baseline() {
   for (Channel& c : ch_) c = Channel{};
   seen_ = 0;
@@ -84,208 +82,60 @@ std::optional<PhaseEvent> PhaseDetector::update(const MetricsWindow& w) {
     double resid = x - c.mean;
     double scale = std::max(c.dev, kScaleFloor[i]);
     double z = resid / scale;
-    if (seen_ > cfg_.warmup_windows && !fired) {
-      c.up = std::max(0.0, c.up + z - cfg_.cusum_k);
-      c.down = std::max(0.0, c.down - z - cfg_.cusum_k);
-      if (c.up > cfg_.cusum_h || c.down > cfg_.cusum_h) {
+    if (seen_ > kWarmupWindows && !fired) {
+      c.up = std::max(0.0, c.up + z - kCusumK);
+      c.down = std::max(0.0, c.down - z - kCusumK);
+      if (c.up > kCusumH || c.down > kCusumH) {
         PhaseEvent e;
         e.window = idx;
         e.channel = i;
-        e.direction = c.up > cfg_.cusum_h ? 1 : -1;
+        e.direction = c.up > kCusumH ? 1 : -1;
         e.score = std::max(c.up, c.down);
         fired = e;
         continue;  // baseline resets below; no point updating this EWMA
       }
     }
-    c.mean += cfg_.ewma_alpha * resid;
-    c.dev = (1.0 - cfg_.ewma_alpha) * c.dev +
-            cfg_.ewma_alpha * std::fabs(resid);
+    c.mean += kEwmaAlpha * resid;
+    c.dev = (1.0 - kEwmaAlpha) * c.dev +
+            kEwmaAlpha * std::fabs(resid);
   }
 
   if (fired) {
     reset_baseline();
-    cooldown_ = cfg_.cooldown_windows;
+    cooldown_ = kCooldownWindows;
   }
   return fired;
 }
 
-// ---- MetricsHub ----
+// ---- The window projection of the fold ----
 
-MetricsHub::MetricsHub(MetricsConfig cfg)
-    : cfg_(cfg), ctx_(sim::kMaxCtxs), live_detector_(cfg) {
-  if (cfg_.window_cycles == 0) cfg_.window_cycles = 1;  // defensive
+size_t MetricsData::snapshots() const {
+  size_t n = 0;
+  for (const MetricsWindow& w : windows) n += w.end.has_value();
+  return n;
 }
 
-MetricsWindow& MetricsHub::window_at(sim::Cycles t) {
-  size_t idx = static_cast<size_t>(t / cfg_.window_cycles);
-  if (idx >= windows_.size()) {
-    size_t old = windows_.size();
-    windows_.resize(idx + 1);
-    for (size_t i = old; i <= idx; ++i) {
-      windows_[i].start = static_cast<sim::Cycles>(i) * cfg_.window_cycles;
-    }
-  }
-  return windows_[idx];
-}
-
-void MetricsHub::note_time(sim::Cycles t) {
-  if (t > max_t_seen_) max_t_seen_ = t;
-  // Seal with one full window of slack: the scheduler always resumes the
-  // smallest-clock runnable context, so a context can run at most one
-  // quantum past its peers — events for window w stop arriving well before
-  // the stream's high-water mark leaves window w+1.
-  size_t hw = static_cast<size_t>(max_t_seen_ / cfg_.window_cycles);
-  if (hw >= 2) seal_through(hw - 1);
-}
-
-void MetricsHub::seal_through(size_t end_index) {
-  if (end_index <= sealed_) return;
-  // Materialize empty windows in the gap so subscribers see a contiguous,
-  // in-order series (an idle window is a signal too).
-  if (end_index > windows_.size()) {
-    window_at(static_cast<sim::Cycles>(end_index - 1) * cfg_.window_cycles);
-  }
-  for (; sealed_ < end_index; ++sealed_) {
-    const MetricsWindow& w = windows_[sealed_];
-    std::optional<PhaseEvent> e = live_detector_.update(w);
-    if (e) e->t = w.start;
-    for (const WindowCallback& cb : subscribers_) cb(w, e);
-  }
-}
-
-void MetricsHub::hw_begin(sim::CtxId ctx, sim::Cycles t) {
-  note_time(t);
-  ++window_at(t).hw_starts;
-  if (ctx >= ctx_.size()) return;
-  ctx_[ctx].open = true;
-  ctx_[ctx].begin_t = t;
-}
-
-void MetricsHub::hw_commit(sim::CtxId ctx, sim::Cycles t) {
-  note_time(t);
-  MetricsWindow& w = window_at(t);
-  ++w.hw_commits;
-  if (ctx >= ctx_.size() || !ctx_[ctx].open) return;
-  ctx_[ctx].open = false;
-  sim::Cycles begin = ctx_[ctx].begin_t;
-  w.committed_cycles += t >= begin ? t - begin : 0;
-}
-
-void MetricsHub::hw_abort(sim::CtxId ctx, sim::Cycles t,
-                          sim::AbortReason reason, uint32_t victim_site,
-                          uint32_t attacker_site) {
-  note_time(t);
-  MetricsWindow& w = window_at(t);
-  ++w.hw_aborts;
-  ++w.aborts_by_misc[static_cast<size_t>(sim::misc_bucket_for(reason))];
-  ++w.aborts_by_reason[static_cast<size_t>(reason)];
-  sim::Cycles wasted = 0;
-  if (ctx < ctx_.size() && ctx_[ctx].open) {
-    ctx_[ctx].open = false;
-    sim::Cycles begin = ctx_[ctx].begin_t;
-    wasted = t >= begin ? t - begin : 0;
-    w.wasted_cycles += wasted;
-  }
-  uint64_t key = attacker_site != kNoSite ? flame_attacker_key(attacker_site)
-                                          : flame_reason_key(reason);
-  flame_[victim_site][key] += wasted;
-}
-
-void MetricsHub::stm_begin(sim::CtxId ctx, sim::Cycles t) {
-  note_time(t);
-  ++window_at(t).stm_starts;
-  if (ctx >= ctx_.size()) return;
-  ctx_[ctx].open = true;
-  ctx_[ctx].begin_t = t;
-}
-
-void MetricsHub::stm_commit(sim::CtxId ctx, sim::Cycles t) {
-  note_time(t);
-  MetricsWindow& w = window_at(t);
-  ++w.stm_commits;
-  if (ctx >= ctx_.size() || !ctx_[ctx].open) return;
-  ctx_[ctx].open = false;
-  sim::Cycles begin = ctx_[ctx].begin_t;
-  w.committed_cycles += t >= begin ? t - begin : 0;
-}
-
-void MetricsHub::stm_abort(sim::CtxId ctx, sim::Cycles t, uint32_t victim_site,
-                           uint32_t attacker_site) {
-  note_time(t);
-  MetricsWindow& w = window_at(t);
-  ++w.stm_aborts;
-  sim::Cycles wasted = 0;
-  if (ctx < ctx_.size() && ctx_[ctx].open) {
-    ctx_[ctx].open = false;
-    sim::Cycles begin = ctx_[ctx].begin_t;
-    wasted = t >= begin ? t - begin : 0;
-    w.wasted_cycles += wasted;
-  }
-  uint64_t key = attacker_site != kNoSite
-                     ? flame_attacker_key(attacker_site)
-                     : flame_reason_key(sim::AbortReason::kConflict);
-  flame_[victim_site][key] += wasted;
-}
-
-void MetricsHub::retry_decision(sim::CtxId ctx, sim::Cycles t, bool fallback) {
-  (void)ctx;
-  if (!fallback) return;
-  note_time(t);
-  ++window_at(t).fallbacks;
-}
-
-void MetricsHub::lock_section(sim::CtxId ctx, sim::Cycles t0, sim::Cycles t1) {
-  (void)ctx;
-  note_time(t1);
-  MetricsWindow& w = window_at(t1);
-  ++w.lock_sections;
-  w.lock_section_cycles += t1 >= t0 ? t1 - t0 : 0;
-}
-
-void MetricsHub::elide_lock_name(uint32_t lock, const std::string& name) {
-  lock_names_[lock] = name;
-}
-
-void MetricsHub::elide_acquire(uint32_t lock, sim::Cycles t, ElideAcqKind kind,
-                               sim::Cycles cycles_elided,
-                               sim::Cycles cycles_wasted) {
-  note_time(t);
-  ElideWindowCounters& e = window_at(t).elide[lock];
-  ++e.acquisitions;
-  if (kind == ElideAcqKind::kElided) ++e.elided;
-  if (kind == ElideAcqKind::kFallback) ++e.fallbacks;
-  e.cycles_elided += cycles_elided;
-  e.cycles_wasted += cycles_wasted;
-}
-
-MetricsData MetricsHub::finalize(sim::Cycles wall) {
+MetricsData TraceSink::metrics_data(sim::Cycles wall) {
   // Pad the series to cover [0, wall) so trailing idle time is visible,
   // then deliver any unsealed windows to live subscribers.
-  if (wall > 0) {
-    size_t n = static_cast<size_t>((wall + cfg_.window_cycles - 1) /
-                                   cfg_.window_cycles);
-    if (n > windows_.size()) {
-      window_at(static_cast<sim::Cycles>(n - 1) * cfg_.window_cycles);
-    }
-  }
+  if (wall > 0) window_at(window_cycles_ ? wall - 1 : 0);
   if (!finalized_) {
     finalized_ = true;
     seal_through(windows_.size());
   }
 
   MetricsData d;
-  d.window_cycles = cfg_.window_cycles;
+  d.window_cycles = window_cycles_;
   d.windows = windows_;
-  d.flame = flame_;
   d.lock_names = lock_names_;
 
   // Authoritative phase pass: a fresh detector streamed over the exact
   // window series. The final window is excluded when it is partial (it
   // covers less simulated time than the others, so its counts dip for
   // length reasons, not workload reasons).
-  PhaseDetector det(cfg_);
+  PhaseDetector det;
   size_t n = d.windows.size();
-  if (n && wall > 0 && d.windows[n - 1].start + cfg_.window_cycles > wall) {
+  if (n && wall > 0 && d.windows[n - 1].start + window_cycles_ > wall) {
     --n;
   }
   for (size_t i = 0; i < n; ++i) {
@@ -301,13 +151,6 @@ MetricsData MetricsHub::finalize(sim::Cycles wall) {
 // ---- Exporters ----
 
 namespace {
-
-std::string resolved_site_name(const Capture& c, uint32_t site) {
-  auto it = c.site_names.find(site);
-  if (it != c.site_names.end()) return it->second;
-  if (site == kNoSite) return "(none)";
-  return "site#" + std::to_string(site);
-}
 
 std::string lock_label(const MetricsData& m, uint32_t lock) {
   auto it = m.lock_names.find(lock);
@@ -464,16 +307,39 @@ void write_openmetrics(std::ostream& os,
   os << "# EOF\n";
 }
 
+void write_timeseries_csv(std::ostream& os,
+                          const std::vector<Capture>& captures) {
+  os << "label,t_cycles,ops,loads,stores,l1_hits,l2_hits,l3_hits,"
+        "mem_accesses,tx_starts,tx_commits,tx_aborts,"
+        "tx_aborts_misc1,tx_aborts_misc2,tx_aborts_misc3,tx_aborts_misc4,"
+        "tx_aborts_misc5,fallbacks,committed_tx_cycles,wasted_tx_cycles\n";
+  for (const Capture& c : captures) {
+    if (!c.metrics) continue;
+    for (const MetricsWindow& w : c.metrics->windows) {
+      if (!w.end) continue;
+      const sim::MachineStats& m = w.end->machine;
+      os << util::Table::csv_escape(c.label) << ","
+         << w.start + c.metrics->window_cycles << "," << m.ops << ","
+         << m.mem.loads << "," << m.mem.stores << "," << m.mem.l1_hits << ","
+         << m.mem.l2_hits << "," << m.mem.l3_hits << "," << m.mem.mem_accesses
+         << "," << m.tx.started << "," << m.tx.committed << ","
+         << m.tx.aborted();
+      for (uint64_t n : m.tx.aborts_by_misc) os << "," << n;
+      os << "," << w.end->fallbacks << "," << w.end->committed_cycles << ","
+         << w.end->wasted_cycles << "\n";
+    }
+  }
+}
+
 void write_flamegraph(std::ostream& os, const std::vector<Capture>& captures) {
   for (const Capture& c : captures) {
     if (!c.metrics) continue;
-    for (const auto& [victim, edges] : c.metrics->flame) {
-      for (const auto& [key, cycles] : edges) {
+    for (const auto& [victim, agg] : c.sites) {
+      for (const auto& [key, cycles] : agg.flame) {
         if (!cycles) continue;  // zero-weight stacks only add noise
-        os << c.label << ";" << resolved_site_name(c, victim) << ";";
+        os << c.label << ";" << site_name(c, victim) << ";";
         if (key & kFlameAttackerBit) {
-          os << resolved_site_name(
-              c, static_cast<uint32_t>(key & 0xffffffffull));
+          os << site_name(c, static_cast<uint32_t>(key & 0xffffffffull));
         } else {
           os << "["
              << sim::abort_reason_name(static_cast<sim::AbortReason>(key))

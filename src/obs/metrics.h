@@ -1,34 +1,27 @@
 #pragma once
-// MetricsHub: the live metrics plane on top of the TraceSink forwarding
-// seam.
+// The window series of TraceSink's event fold, the online phase detector
+// over it, and the two exporters that read it.
 //
-// Where the Pmu accumulates whole-run totals and only yields PmuData at
-// finalize(), the hub folds the same event stream incrementally into fixed
-// simulated-time windows and maintains per-window derived signals — abort
-// rate by MISC bucket, conflict/capacity mix, wasted-cycle share, fallback
-// rate, per-lock elided share — plus an online EWMA/CUSUM phase-change
-// detector over those signals. That makes the run *watchable while it
-// happens*: subscribe() hands every sealed window (and any phase boundary
-// it triggered) to a callback, which is the seam the adaptive runtime
-// (ROADMAP item 5) plugs into.
-//
-// Windowing is exact, not sampled: every event lands in the window that
-// contains its timestamp (windows[t / window_cycles]), so for every counter
-// the sum of all window deltas equals the finalized PmuData total by
-// construction — regardless of the slight cross-context reordering the
-// scheduler's per-context clocks produce. Cycle deltas (committed/wasted)
+// The fold (trace_sink.h) keeps one record per fixed simulated-time window
+// of `window_cycles` and folds every begin/commit/abort/retry/elide event
+// into the window containing its timestamp (windows[t / window_cycles]). So
+// for every counter the sum of all window deltas equals the whole-run total
+// by construction, regardless of the slight cross-context reordering the
+// scheduler's per-context clocks produce; PmuData's software-attempt and
+// fallback totals are exactly those sums. Cycle deltas (committed/wasted)
 // are attributed to the window containing the attempt's *closing* event,
-// mirroring the Pmu's accounting. Like the Pmu and SiteAgg, all aggregation
-// happens at emission time and never replays the lossy event ring, so the
-// per-site wasted-cycle flame profile stays exact after the ring wraps.
+// like the per-context cycle identity. A run without a window is one
+// whole-run window.
 //
-// All of this is host-side bookkeeping on simulated timestamps: an
-// installed hub performs no simulated machine operation and never perturbs
-// simulated results.
+// Each window also carries the machine's cumulative counters at its end
+// boundary (WindowEnd), read when simulated time first crossed it: the rows
+// of --timeseries and the trace's counter tracks.
+//
+// All of this is host-side bookkeeping on simulated timestamps: it performs
+// no simulated machine operation and never perturbs simulated results.
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <optional>
@@ -44,13 +37,14 @@ struct Capture;  // registry.h (which includes this header)
 
 // ---- Window aggregates ----
 
-// Per-lock elision deltas inside one window (per-lock elided% signal).
-struct ElideWindowCounters {
-  uint64_t acquisitions = 0;
-  uint64_t elided = 0;
-  uint64_t fallbacks = 0;
-  sim::Cycles cycles_elided = 0;
-  sim::Cycles cycles_wasted = 0;
+// Cumulative counters when simulated time first crossed a window's end.
+// Unlike the window's deltas, which bin each event by its own timestamp, a
+// snapshot sees every context's progress at one moment of the run.
+struct WindowEnd {
+  sim::MachineStats machine;
+  uint64_t fallbacks = 0;            // retry-policy fallback decisions
+  sim::Cycles committed_cycles = 0;  // per-context attribution, summed
+  sim::Cycles wasted_cycles = 0;
 };
 
 // One fixed simulated-time window [start, start + window_cycles). All
@@ -74,19 +68,21 @@ struct MetricsWindow {
 
   uint64_t fallbacks = 0;  // retry-policy serial-fallback decisions
 
-  // Lock-backend critical sections (hub-only seam; see
-  // TraceSink::lock_section) so kLock/kCas runs produce a per-window
-  // activity signal without any ring/PMU change.
+  // Lock-backend critical sections (see TraceSink::lock_section), so
+  // kLock/kCas runs produce a per-window activity signal.
   uint64_t lock_sections = 0;
   sim::Cycles lock_section_cycles = 0;
 
-  // Attempt-window cycle deltas (closing-event attribution, like the Pmu).
+  // Attempt-window cycle deltas (closing-event attribution).
   sim::Cycles committed_cycles = 0;
   sim::Cycles wasted_cycles = 0;
 
   // Per-lock elision deltas, keyed by lock id (sorted map iteration keeps
   // every export deterministic).
-  std::map<uint32_t, ElideWindowCounters> elide;
+  std::map<uint32_t, ElideCounters> elide;
+
+  // The boundary snapshot; absent for a final window the run did not cross.
+  std::optional<WindowEnd> end;
 
   // ---- Derived signals (the phase detector's inputs) ----
   uint64_t attempts() const { return hw_starts + stm_starts; }
@@ -126,15 +122,9 @@ struct PhaseEvent {
 };
 
 struct MetricsConfig {
-  // Window length in simulated cycles; 0 disables the hub entirely.
+  // Window length in simulated cycles; 0 folds the run into one window
+  // and leaves the series unexported.
   sim::Cycles window_cycles = 0;
-
-  // Phase-detector tuning (see DESIGN.md "Windowing and phase detection").
-  uint32_t warmup_windows = 3;    // windows used to learn the baseline
-  double ewma_alpha = 0.25;       // baseline mean/deviation smoothing
-  double cusum_k = 0.5;           // per-window slack, in deviation units
-  double cusum_h = 4.0;           // decision threshold, in deviation units
-  uint32_t cooldown_windows = 2;  // re-learn windows after a boundary
 };
 
 // Online two-sided CUSUM over EWMA-standardized window signals. Streaming
@@ -150,7 +140,15 @@ class PhaseDetector {
   static constexpr int kChannelWastedShare = 2;
   static constexpr int kChannels = 3;
 
-  explicit PhaseDetector(const MetricsConfig& cfg);
+  // Tuning (DESIGN.md §8): windows used to learn a baseline, the EWMA
+  // smoothing of its mean and deviation, the CUSUM slack and decision
+  // threshold in deviation units, and the windows skipped after a boundary
+  // before re-learning.
+  static constexpr uint32_t kWarmupWindows = 3;
+  static constexpr double kEwmaAlpha = 0.25;
+  static constexpr double kCusumK = 0.5;
+  static constexpr double kCusumH = 4.0;
+  static constexpr uint32_t kCooldownWindows = 2;
 
   // Feeds the next window; returns the boundary event (positioned at this
   // window) if the evidence crossed the threshold. After a boundary the
@@ -168,28 +166,11 @@ class PhaseDetector {
 
   void reset_baseline();
 
-  MetricsConfig cfg_;
   std::array<Channel, kChannels> ch_{};
   uint32_t seen_ = 0;      // windows since the last baseline reset
   uint32_t windows_ = 0;   // total windows fed
   uint32_t cooldown_ = 0;  // pending re-learn windows
 };
-
-// ---- Flame profile ----
-
-// Second stack frame of the wasted-cycle flame profile: the attacker's call
-// site for attributed conflicts, the abort reason otherwise. Encoded as one
-// ordered key so the per-site maps stay sorted and cheap.
-constexpr uint64_t kFlameAttackerBit = uint64_t{1} << 32;
-inline uint64_t flame_attacker_key(uint32_t site) {
-  return kFlameAttackerBit | site;
-}
-inline uint64_t flame_reason_key(sim::AbortReason r) {
-  return static_cast<uint64_t>(r);
-}
-
-// victim site -> (attacker-site-or-reason key -> wasted cycles).
-using FlameProfile = std::map<uint32_t, std::map<uint64_t, uint64_t>>;
 
 // ---- Finalized result (carried inside a registry Capture) ----
 
@@ -197,76 +178,14 @@ struct MetricsData {
   sim::Cycles window_cycles = 0;
   std::vector<MetricsWindow> windows;
   std::vector<PhaseEvent> phases;  // detector run over the exact series
-  FlameProfile flame;
   std::map<uint32_t, std::string> lock_names;
-};
 
-// ---- The hub ----
-
-class MetricsHub {
- public:
-  explicit MetricsHub(MetricsConfig cfg);
-
-  // ---- Feed (TraceSink forwards; sites pre-resolved by the sink) ----
-  void hw_begin(sim::CtxId ctx, sim::Cycles t);
-  void hw_commit(sim::CtxId ctx, sim::Cycles t);
-  // `attacker_site` is kNoSite unless the abort has a distinct attributed
-  // attacker (mirrors the sink's attacker_sites accounting).
-  void hw_abort(sim::CtxId ctx, sim::Cycles t, sim::AbortReason reason,
-                uint32_t victim_site, uint32_t attacker_site);
-  void stm_begin(sim::CtxId ctx, sim::Cycles t);
-  void stm_commit(sim::CtxId ctx, sim::Cycles t);
-  void stm_abort(sim::CtxId ctx, sim::Cycles t, uint32_t victim_site,
-                 uint32_t attacker_site);
-  void retry_decision(sim::CtxId ctx, sim::Cycles t, bool fallback);
-  void lock_section(sim::CtxId ctx, sim::Cycles t0, sim::Cycles t1);
-  void elide_lock_name(uint32_t lock, const std::string& name);
-  void elide_acquire(uint32_t lock, sim::Cycles t, ElideAcqKind kind,
-                     sim::Cycles cycles_elided, sim::Cycles cycles_wasted);
-
-  // ---- Live subscription (the AdaptivePolicy seam) ----
-  // Called once per sealed window, in window order, with the phase boundary
-  // that window triggered (if any). A window seals when the event stream's
-  // high-water mark passes the *next* window's end, leaving one window of
-  // slack for the scheduler's bounded cross-context clock skew; the final
-  // partial window seals at finalize(). Live sealing is a low-latency view
-  // of the same aggregates finalize() reports.
-  using WindowCallback =
-      std::function<void(const MetricsWindow&, const std::optional<PhaseEvent>&)>;
-  void subscribe(WindowCallback cb) { subscribers_.push_back(std::move(cb)); }
-
-  sim::Cycles window_cycles() const { return cfg_.window_cycles; }
-  const MetricsConfig& config() const { return cfg_; }
-
-  // Seals every remaining window, replays a fresh detector over the exact
-  // window series (identical statistics to the live pass once stragglers
-  // are included), and returns the immutable result.
-  MetricsData finalize(sim::Cycles wall);
-
- private:
-  struct CtxState {
-    bool open = false;
-    sim::Cycles begin_t = 0;
-  };
-
-  MetricsWindow& window_at(sim::Cycles t);
-  void note_time(sim::Cycles t);
-  void seal_through(size_t end_index);  // seals windows [sealed_, end_index)
-
-  MetricsConfig cfg_;
-  std::vector<MetricsWindow> windows_;
-  std::vector<CtxState> ctx_;
-  std::map<uint32_t, std::string> lock_names_;
-  FlameProfile flame_;
-  std::vector<WindowCallback> subscribers_;
-  PhaseDetector live_detector_;
-  sim::Cycles max_t_seen_ = 0;
-  size_t sealed_ = 0;  // windows [0, sealed_) already delivered live
-  bool finalized_ = false;
+  // Windows carrying a boundary snapshot (every window the run crossed).
+  size_t snapshots() const;
 };
 
 // ---- Exporters (captures arrive label-sorted from Registry::drain, so
-// both outputs are byte-identical across --jobs values) ----
+// every output is byte-identical across --jobs values) ----
 
 // OpenMetrics / Prometheus text exposition of every capture's final window
 // series: one sample per window per metric family, labelled
@@ -274,8 +193,16 @@ class MetricsHub {
 // ending with "# EOF".
 void write_openmetrics(std::ostream& os, const std::vector<Capture>& captures);
 
+// CSV of the boundary snapshots: one row per crossed window boundary per
+// capture, keyed by the capture's task label, in simulated-time order. All
+// values are cumulative counters at the window's end (diff consecutive
+// rows for rates).
+void write_timeseries_csv(std::ostream& os,
+                          const std::vector<Capture>& captures);
+
 // Collapsed-stack flame profile ("cell;victim;attacker-or-reason cycles"
-// lines), weighted by wasted cycles — feed to flamegraph.pl or speedscope.
+// lines) of every capture with a window series, weighted by wasted cycles:
+// the per-site records' flame edges. Feed to flamegraph.pl or speedscope.
 void write_flamegraph(std::ostream& os, const std::vector<Capture>& captures);
 
 }  // namespace tsx::obs

@@ -1,152 +1,56 @@
 #include "obs/pmu.h"
 
+#include <map>
 #include <ostream>
 #include <string>
 
 #include "obs/registry.h"
+#include "obs/trace_sink.h"
 #include "util/json.h"
 
 namespace tsx::obs {
 
-Pmu::Pmu(uint32_t threads) : threads_(threads), ctx_(threads) {}
-
-void Pmu::tx_begin(sim::CtxId ctx, sim::Cycles t, bool stm) {
-  if (stm) ++stm_starts_;
-  if (ctx >= ctx_.size()) return;
-  CtxState& c = ctx_[ctx];
-  if (c.open) ++mismatched_;  // begin with an attempt still open
-  c.open = true;
-  c.begin_t = t;
-}
-
-void Pmu::tx_commit(sim::CtxId ctx, sim::Cycles t, bool stm) {
-  if (stm) ++stm_commits_;
-  if (ctx >= ctx_.size()) return;
-  CtxState& c = ctx_[ctx];
-  if (!c.open) {
-    ++mismatched_;
-    return;
-  }
-  c.open = false;
-  sim::Cycles dur = t >= c.begin_t ? t - c.begin_t : 0;
-  c.committed += dur;
-  tx_duration_.record(dur);
-  retries_.record(c.abort_streak);
-  c.abort_streak = 0;
-}
-
-void Pmu::tx_abort(sim::CtxId ctx, sim::Cycles t, bool stm) {
-  if (stm) ++stm_aborts_;
-  if (ctx >= ctx_.size()) return;
-  CtxState& c = ctx_[ctx];
-  if (!c.open) {
-    ++mismatched_;
-    return;
-  }
-  c.open = false;
-  sim::Cycles dur = t >= c.begin_t ? t - c.begin_t : 0;
-  c.wasted += dur;
-  abort_latency_.record(dur);
-  ++c.abort_streak;
-}
-
-void Pmu::retry_decision(sim::CtxId ctx, bool fallback) {
-  if (!fallback) return;
-  ++fallbacks_;
-  if (ctx >= ctx_.size()) return;
-  // The fallback execution commits the transaction outside any attempt
-  // window; close this transaction's retry count here.
-  retries_.record(ctx_[ctx].abort_streak);
-  ctx_[ctx].abort_streak = 0;
-}
-
-void Pmu::elide_lock_name(uint32_t lock, const std::string& name) {
-  ElideLockCounters& e = elide_[lock];
-  e.lock = lock;
-  e.name = name;
-}
-
-void Pmu::elide_acquire(uint32_t lock, ElideAcqKind kind, uint64_t attempts,
-                        sim::Cycles cycles_elided, sim::Cycles cycles_wasted,
-                        bool self_stopped) {
-  ElideLockCounters& e = elide_[lock];
-  e.lock = lock;
-  ++e.acquisitions;
-  e.attempts += attempts;
-  switch (kind) {
-    case ElideAcqKind::kElided: ++e.elided; break;
-    case ElideAcqKind::kFallback: ++e.fallbacks; break;
-    case ElideAcqKind::kLocked: ++e.lock_acquires; break;
-  }
-  if (self_stopped) ++e.self_stops;
-  e.cycles_elided += cycles_elided;
-  e.cycles_wasted += cycles_wasted;
-}
-
-sim::Cycles Pmu::committed_cycles() const {
-  sim::Cycles s = 0;
-  for (const CtxState& c : ctx_) s += c.committed;
-  return s;
-}
-
-sim::Cycles Pmu::wasted_cycles() const {
-  sim::Cycles s = 0;
-  for (const CtxState& c : ctx_) s += c.wasted;
-  return s;
-}
-
-void Pmu::sample(sim::Cycles t, const sim::MachineStats& stats) {
-  PmuSample s;
-  s.t = t;
-  s.ops = stats.ops;
-  s.loads = stats.mem.loads;
-  s.stores = stats.mem.stores;
-  s.l1_hits = stats.mem.l1_hits;
-  s.l2_hits = stats.mem.l2_hits;
-  s.l3_hits = stats.mem.l3_hits;
-  s.mem_accesses = stats.mem.mem_accesses;
-  s.tx_starts = stats.tx.started;
-  s.tx_commits = stats.tx.committed;
-  s.tx_aborts = stats.tx.aborted();
-  for (size_t i = 0; i < s.aborts_misc.size(); ++i) {
-    s.aborts_misc[i] = stats.tx.aborts_by_misc[i];
-  }
-  s.fallbacks = fallbacks_;
-  s.committed_cycles = committed_cycles();
-  s.wasted_cycles = wasted_cycles();
-  samples_.push_back(s);
-}
-
-PmuData Pmu::finalize(const sim::MachineStats& machine, sim::Cycles wall,
-                      const std::vector<sim::Cycles>& ctx_finish,
-                      const std::vector<sim::Cycles>& ctx_busy,
-                      double core_busy, const sim::EnergyParams& energy,
-                      double freq_ghz) const {
+PmuData TraceSink::pmu_data(const sim::MachineStats& machine, sim::Cycles wall,
+                            const std::vector<sim::Cycles>& ctx_finish,
+                            const std::vector<sim::Cycles>& ctx_busy,
+                            double core_busy, const sim::EnergyParams& energy,
+                            double freq_ghz) const {
   PmuData d;
-  d.threads = threads_;
+  d.threads = static_cast<uint32_t>(ctx_finish.size());
   d.freq_ghz = freq_ghz;
   d.wall = wall;
   d.machine = machine;
   d.machine.core_busy_cycles = core_busy;
-  d.stm_starts = stm_starts_;
-  d.stm_commits = stm_commits_;
-  d.stm_aborts = stm_aborts_;
-  d.fallbacks = fallbacks_;
   d.mismatched = mismatched_;
   d.tx_duration = tx_duration_;
   d.abort_latency = abort_latency_;
   d.retries = retries_;
-  d.samples = samples_;
+
+  // ---- Whole-run totals: the fold of the window series ----
+  std::map<uint32_t, ElideLockCounters> elide;  // keyed (and sorted) by id
+  for (const auto& [id, name] : lock_names_) elide[id].name = name;
+  for (const MetricsWindow& w : windows_) {
+    d.stm_starts += w.stm_starts;
+    d.stm_commits += w.stm_commits;
+    d.stm_aborts += w.stm_aborts;
+    d.fallbacks += w.fallbacks;
+    for (const auto& [id, e] : w.elide) elide[id].add(e);
+  }
+  for (auto& [id, e] : elide) {
+    e.lock = id;
+    if (e.name.empty()) e.name = "lock#" + std::to_string(id);
+    d.elide.push_back(std::move(e));
+  }
 
   // ---- Per-context cycle identity ----
-  d.ctx.resize(threads_);
-  for (uint32_t i = 0; i < threads_; ++i) {
-    const CtxState& c = ctx_[i];
+  d.ctx.resize(d.threads);
+  for (uint32_t i = 0; i < d.threads; ++i) {
+    const CtxRecord& c = ctx_[i];
     PmuCtxSplit& s = d.ctx[i];
     if (c.open) ++d.mismatched;  // attempt never closed (body threw out)
     s.committed = c.committed;
     s.wasted = c.wasted;
-    s.finish = i < ctx_finish.size() ? ctx_finish[i] : 0;
+    s.finish = ctx_finish[i];
     s.busy = i < ctx_busy.size() ? ctx_busy[i] : 0;
     sim::Cycles in_tx = c.committed + c.wasted;
     if (in_tx > s.finish || s.finish > wall) {
@@ -225,18 +129,10 @@ PmuData Pmu::finalize(const sim::MachineStats& machine, sim::Cycles wall,
       reason(sim::AbortReason::kReadCapacity));
   add("tx-capacity-write", "TX_MEM.ABORT_CAPACITY_WRITE",
       reason(sim::AbortReason::kWriteCapacity));
-  add("stm-start", "(software: STM attempts)", stm_starts_);
-  add("stm-commit", "(software: STM commits)", stm_commits_);
-  add("stm-abort", "(software: STM aborts)", stm_aborts_);
-  add("fallbacks", "(software: retry-policy fallbacks)", fallbacks_);
-
-  // ---- Per-lock elision statistics (map iteration: sorted by lock id) ----
-  for (const auto& [id, e] : elide_) {
-    d.elide.push_back(e);
-    if (d.elide.back().name.empty()) {
-      d.elide.back().name = "lock#" + std::to_string(id);
-    }
-  }
+  add("stm-start", "(software: STM attempts)", d.stm_starts);
+  add("stm-commit", "(software: STM commits)", d.stm_commits);
+  add("stm-abort", "(software: STM aborts)", d.stm_aborts);
+  add("fallbacks", "(software: retry-policy fallbacks)", d.fallbacks);
   return d;
 }
 
@@ -371,8 +267,9 @@ void write_perf_stat(std::ostream& os, const std::vector<Capture>& captures) {
       }
       os << "\n";
     }
-    if (!d.samples.empty()) {
-      os << " samples: " << d.samples.size() << " (interval boundaries; see "
+    size_t snapshots = c.metrics ? c.metrics->snapshots() : 0;
+    if (snapshots) {
+      os << " samples: " << snapshots << " (interval boundaries; see "
          << "--timeseries for the CSV)\n";
     }
     os << "\n";

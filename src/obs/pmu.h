@@ -4,25 +4,21 @@
 //
 // The paper reads Haswell TSX through libpfm4 perf events
 // (RTM_RETIRED.START/COMMIT/ABORTED, the ABORTED_MISC1-5 buckets,
-// TX_MEM.ABORT_*) plus RAPL energy windows. The Pmu gives tsxlab the same
-// surface: it listens to the attempt lifecycle (hardware transactions via
-// the machine's ObsHooks, software transactions via the STM executor — both
-// already flow through TraceSink, which forwards here), attributes every
-// per-hardware-thread cycle into committed-tx / wasted-tx / non-tx / idle
-// with an enforced identity (the four buckets tile [0, wall] exactly), and
-// derives the committed-vs-wasted energy split the paper's "energy thrown
-// away in aborted work" analysis needs.
+// TX_MEM.ABORT_*) plus RAPL energy windows. PmuData gives tsxlab the same
+// surface. TraceSink::pmu_data (defined in pmu.cpp) builds it from the
+// sink's event fold: every per-hardware-thread cycle is attributed into
+// committed-tx / wasted-tx / non-tx / idle with an enforced identity (the
+// four buckets tile [0, wall] exactly), and the committed-vs-wasted energy
+// split the paper's "energy thrown away in aborted work" analysis needs is
+// derived from it.
 //
-// Like TraceSink's SiteAgg, all aggregation is incremental at emission time
-// and never replays the (lossy) event ring, so the counters are exact
-// regardless of ring capacity. All inputs are simulated cycles and
-// deterministic counters, so every derived report is byte-identical across
-// harness --jobs values.
+// The fold aggregates at emission time and never replays the (lossy) event
+// ring, so the counters are exact regardless of ring capacity. All inputs
+// are simulated cycles and deterministic counters, so every derived report
+// is byte-identical across harness --jobs values.
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -92,12 +88,11 @@ enum class ElideAcqKind : uint8_t {
   kLocked = 2,    // explicit non-speculative hold (lock()/locked_section)
 };
 
-// Per-lock elision counters, the txlock-style stats table. `attempts`
-// counts speculative tries including lock-busy bails; `cycles_wasted` sums
-// attempt windows that did not commit (the self-stop heuristic's input).
-struct ElideLockCounters {
-  uint32_t lock = 0;
-  std::string name;
+// Elision counters of one lock, the txlock-style stats table: per window in
+// MetricsWindow::elide, per run in PmuData::elide. `attempts` counts
+// speculative tries including lock-busy bails; `cycles_wasted` sums attempt
+// windows that did not commit (the self-stop heuristic's input).
+struct ElideCounters {
   uint64_t acquisitions = 0;
   uint64_t attempts = 0;
   uint64_t elided = 0;
@@ -106,6 +101,23 @@ struct ElideLockCounters {
   uint64_t self_stops = 0;
   sim::Cycles cycles_elided = 0;
   sim::Cycles cycles_wasted = 0;
+
+  void add(const ElideCounters& o) {
+    acquisitions += o.acquisitions;
+    attempts += o.attempts;
+    elided += o.elided;
+    fallbacks += o.fallbacks;
+    lock_acquires += o.lock_acquires;
+    self_stops += o.self_stops;
+    cycles_elided += o.cycles_elided;
+    cycles_wasted += o.cycles_wasted;
+  }
+};
+
+// One lock's whole-run counters under its name.
+struct ElideLockCounters : ElideCounters {
+  uint32_t lock = 0;
+  std::string name;
 };
 
 // Simulated-heap counters for the perf-stat "heap" block: the allocator's
@@ -124,29 +136,6 @@ struct HeapPmuCounters {
   std::vector<uint64_t> set_allocs;  // placements per L1 set index
 };
 
-// One row of the counter time series (--sample-interval): cumulative values
-// at a simulated-time window boundary.
-struct PmuSample {
-  sim::Cycles t = 0;
-  uint64_t ops = 0;
-  uint64_t loads = 0;
-  uint64_t stores = 0;
-  uint64_t l1_hits = 0;
-  uint64_t l2_hits = 0;
-  uint64_t l3_hits = 0;
-  uint64_t mem_accesses = 0;
-  uint64_t tx_starts = 0;
-  uint64_t tx_commits = 0;
-  uint64_t tx_aborts = 0;
-  // Per-MISC-bucket abort counts (cumulative, hardware aborts), so the
-  // phase detector's abort-mix inputs are reconstructable from the CSV.
-  std::array<uint64_t, static_cast<size_t>(sim::MiscBucket::kCount)>
-      aborts_misc{};
-  uint64_t fallbacks = 0;  // retry-policy fallback decisions, cumulative
-  sim::Cycles committed_cycles = 0;  // PMU-attributed, cumulative
-  sim::Cycles wasted_cycles = 0;
-};
-
 // Immutable PMU result for one run, carried inside a registry Capture.
 struct PmuData {
   uint32_t threads = 0;
@@ -155,7 +144,7 @@ struct PmuData {
   sim::MachineStats machine;  // final whole-run counters
 
   // Software-transaction attempt counters (STM backends and the hybrid's
-  // fallback; hardware attempts are machine.tx).
+  // fallback; hardware attempts are machine.tx): sums of the window series.
   uint64_t stm_starts = 0;
   uint64_t stm_commits = 0;
   uint64_t stm_aborts = 0;
@@ -170,7 +159,6 @@ struct PmuData {
   Log2Histogram abort_latency;  // aborted attempt durations, cycles
   Log2Histogram retries;        // aborted attempts preceding each commit
 
-  std::vector<PmuSample> samples;
   std::vector<PerfCounter> counters;  // the perf-stat event list
 
   // Per-lock elision statistics, sorted by lock id; empty when the run used
@@ -185,57 +173,6 @@ struct PmuData {
   // tier-1 identity tests assert it.
   bool identity_ok = true;
   uint64_t mismatched = 0;  // commit/abort events without an open begin
-};
-
-// Incremental accumulator, fed by TraceSink (one per traced TxRuntime).
-class Pmu {
- public:
-  explicit Pmu(uint32_t threads);
-
-  // ---- Feed (TraceSink forwards; `stm` distinguishes software attempts) ----
-  void tx_begin(sim::CtxId ctx, sim::Cycles t, bool stm);
-  void tx_commit(sim::CtxId ctx, sim::Cycles t, bool stm);
-  void tx_abort(sim::CtxId ctx, sim::Cycles t, bool stm);
-  void retry_decision(sim::CtxId ctx, bool fallback);
-  void sample(sim::Cycles t, const sim::MachineStats& stats);
-  void elide_lock_name(uint32_t lock, const std::string& name);
-  void elide_acquire(uint32_t lock, ElideAcqKind kind, uint64_t attempts,
-                     sim::Cycles cycles_elided, sim::Cycles cycles_wasted,
-                     bool self_stopped);
-
-  // Cumulative attributed cycles so far (used by the sampler).
-  sim::Cycles committed_cycles() const;
-  sim::Cycles wasted_cycles() const;
-
-  // Closes the books: per-context identity, energy split, the perf-stat
-  // counter list. `ctx_finish`/`ctx_busy` are per-hardware-thread clocks
-  // from the machine; `core_busy` is the energy model's per-core busy sum.
-  PmuData finalize(const sim::MachineStats& machine, sim::Cycles wall,
-                   const std::vector<sim::Cycles>& ctx_finish,
-                   const std::vector<sim::Cycles>& ctx_busy, double core_busy,
-                   const sim::EnergyParams& energy, double freq_ghz) const;
-
- private:
-  struct CtxState {
-    bool open = false;
-    sim::Cycles begin_t = 0;
-    sim::Cycles committed = 0;
-    sim::Cycles wasted = 0;
-    uint64_t abort_streak = 0;  // aborts since the last commit/fallback
-  };
-
-  uint32_t threads_;
-  std::vector<CtxState> ctx_;
-  uint64_t stm_starts_ = 0;
-  uint64_t stm_commits_ = 0;
-  uint64_t stm_aborts_ = 0;
-  uint64_t fallbacks_ = 0;
-  uint64_t mismatched_ = 0;
-  Log2Histogram tx_duration_;
-  Log2Histogram abort_latency_;
-  Log2Histogram retries_;
-  std::vector<PmuSample> samples_;
-  std::map<uint32_t, ElideLockCounters> elide_;  // keyed (and sorted) by id
 };
 
 // perf-stat-style report, one block per capture (captures arrive sorted by

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "harness/runner.h"
+
 namespace tsx::obs {
 
 Capture make_capture(const TraceSink& sink, std::string label, double freq_ghz,
@@ -15,6 +17,13 @@ Capture make_capture(const TraceSink& sink, std::string label, double freq_ghz,
   c.sites = sink.sites();
   c.site_names = sink.site_names();
   return c;
+}
+
+std::string site_name(const Capture& c, uint32_t site) {
+  auto it = c.site_names.find(site);
+  if (it != c.site_names.end()) return it->second;
+  if (site == kNoSite) return "(none)";
+  return "site#" + std::to_string(site);
 }
 
 Registry& Registry::global() {
@@ -43,35 +52,19 @@ size_t Registry::size() const {
   return captures_.size();
 }
 
-namespace {
-
-struct Fnv {
-  uint64_t h = 14695981039346656037ull;
-  void add(uint64_t v) {
-    for (size_t i = 0; i < sizeof(v); ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void add(const std::string& s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-    add(static_cast<uint64_t>(s.size()));
-  }
-};
-
-}  // namespace
-
-uint64_t Registry::counter_digest() const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::vector<const Capture*> Registry::sorted_by_label() const {
   std::vector<const Capture*> sorted;
   sorted.reserve(captures_.size());
   for (const Capture& c : captures_) sorted.push_back(&c);
   std::sort(sorted.begin(), sorted.end(),
             [](const Capture* a, const Capture* b) { return a->label < b->label; });
-  Fnv f;
+  return sorted;
+}
+
+uint64_t Registry::counter_digest() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<const Capture*> sorted = sorted_by_label();
+  harness::Digest f;
   for (const Capture* c : sorted) {
     f.add(c->label);
     if (!c->pmu) continue;
@@ -82,11 +75,14 @@ uint64_t Registry::counter_digest() const {
     f.add(d.split.wasted);
     f.add(d.split.non_tx);
     f.add(d.split.idle);
-    f.add(static_cast<uint64_t>(d.samples.size()));
-    for (const PmuSample& s : d.samples) {
-      f.add(s.t);
-      f.add(s.tx_commits);
-      f.add(s.tx_aborts);
+    f.add(static_cast<uint64_t>(c->metrics ? c->metrics->snapshots() : 0));
+    if (c->metrics) {
+      for (const MetricsWindow& w : c->metrics->windows) {
+        if (!w.end) continue;
+        f.add(w.start + c->metrics->window_cycles);
+        f.add(w.end->machine.tx.committed);
+        f.add(w.end->machine.tx.aborted());
+      }
     }
     f.add(static_cast<uint64_t>(d.elide.size()));
     for (const ElideLockCounters& e : d.elide) {
@@ -112,20 +108,15 @@ uint64_t Registry::counter_digest() const {
       for (uint64_t v : d.heap.set_allocs) f.add(v);
     }
   }
-  return f.h;
+  return f.value();
 }
 
 std::optional<uint64_t> Registry::metrics_digest() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const Capture*> sorted;
-  sorted.reserve(captures_.size());
-  for (const Capture& c : captures_) {
-    if (c.metrics) sorted.push_back(&c);
-  }
+  std::vector<const Capture*> sorted = sorted_by_label();
+  std::erase_if(sorted, [](const Capture* c) { return !c->metrics; });
   if (sorted.empty()) return std::nullopt;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Capture* a, const Capture* b) { return a->label < b->label; });
-  Fnv f;
+  harness::Digest f;
   for (const Capture* c : sorted) {
     f.add(c->label);
     const MetricsData& m = *c->metrics;
@@ -147,8 +138,8 @@ std::optional<uint64_t> Registry::metrics_digest() const {
       f.add(w.committed_cycles);
       f.add(w.wasted_cycles);
       f.add(static_cast<uint64_t>(w.elide.size()));
-      for (const auto& [lock, e] : w.elide) {
-        f.add(lock);
+      for (const auto& [id, e] : w.elide) {
+        f.add(id);
         f.add(e.acquisitions);
         f.add(e.elided);
         f.add(e.fallbacks);
@@ -163,17 +154,21 @@ std::optional<uint64_t> Registry::metrics_digest() const {
       f.add(static_cast<uint64_t>(e.channel));
       f.add(static_cast<uint64_t>(static_cast<int64_t>(e.direction)));
     }
-    f.add(static_cast<uint64_t>(m.flame.size()));
-    for (const auto& [victim, edges] : m.flame) {
-      f.add(victim);
-      f.add(static_cast<uint64_t>(edges.size()));
-      for (const auto& [key, cycles] : edges) {
+    // The flame profile: every site with an abort, in site order.
+    uint64_t victims = 0;
+    for (const auto& [site, agg] : c->sites) victims += !agg.flame.empty();
+    f.add(victims);
+    for (const auto& [site, agg] : c->sites) {
+      if (agg.flame.empty()) continue;
+      f.add(site);
+      f.add(static_cast<uint64_t>(agg.flame.size()));
+      for (const auto& [key, cycles] : agg.flame) {
         f.add(key);
         f.add(cycles);
       }
     }
   }
-  return f.h;
+  return f.value();
 }
 
 std::vector<ElideLockCounters> Registry::elide_totals() const {
@@ -186,14 +181,7 @@ std::vector<ElideLockCounters> Registry::elide_totals() const {
     for (const ElideLockCounters& e : c.pmu->elide) {
       ElideLockCounters& t = by_name[e.name];
       t.name = e.name;
-      t.acquisitions += e.acquisitions;
-      t.attempts += e.attempts;
-      t.elided += e.elided;
-      t.fallbacks += e.fallbacks;
-      t.lock_acquires += e.lock_acquires;
-      t.self_stops += e.self_stops;
-      t.cycles_elided += e.cycles_elided;
-      t.cycles_wasted += e.cycles_wasted;
+      t.add(e);
     }
   }
   std::vector<ElideLockCounters> out;
@@ -206,11 +194,7 @@ HeapPmuCounters Registry::heap_totals() const {
   std::lock_guard<std::mutex> lock(mu_);
   // Iterate label-sorted (like counter_digest) so the "first" policy and
   // the summed counters are --jobs-invariant.
-  std::vector<const Capture*> sorted;
-  sorted.reserve(captures_.size());
-  for (const Capture& c : captures_) sorted.push_back(&c);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Capture* a, const Capture* b) { return a->label < b->label; });
+  std::vector<const Capture*> sorted = sorted_by_label();
   HeapPmuCounters t;
   for (const Capture* c : sorted) {
     if (!c->pmu || !c->pmu->heap.present) continue;

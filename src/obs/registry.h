@@ -26,20 +26,24 @@ struct Capture {
   uint32_t threads = 0;    // simulated hardware threads in the run
   std::vector<Event> events;  // oldest -> newest (ring-bounded)
   size_t dropped = 0;
-  std::map<uint32_t, SiteAgg> sites;
+  std::map<uint32_t, SiteAgg> sites;  // abort report and flame profile
   std::map<uint32_t, std::string> site_names;
-  // Finalized PMU result (perf-stat counters, cycle/energy attribution,
-  // time-series samples); present for every run traced with obs enabled.
+  // Finalized PMU result (perf-stat counters, cycle/energy attribution);
+  // present for every run traced with obs enabled.
   std::optional<PmuData> pmu;
-  // Finalized windowed metrics (window series, phase boundaries, flame
-  // profile); present when the run had a MetricsHub (--metrics /
-  // --flamegraph / an explicit metrics window).
+  // Finalized window series (window deltas, boundary snapshots, phase
+  // boundaries); present when the run had a window length (--metrics,
+  // --flamegraph, --timeseries or --metrics-window).
   std::optional<MetricsData> metrics;
 };
 
 // Builds an immutable capture from a sink's current state.
 Capture make_capture(const TraceSink& sink, std::string label, double freq_ghz,
                      uint32_t threads);
+
+// A site's name in reports: its registered name, "(none)" for kNoSite,
+// "site#N" otherwise.
+std::string site_name(const Capture& c, uint32_t site);
 
 class Registry {
  public:
@@ -52,8 +56,8 @@ class Registry {
   std::vector<Capture> drain();
   size_t size() const;
 
-  // FNV-1a digest over every capture's PMU counters, cycle split and sample
-  // stream, iterated in label order — so the digest is identical across
+  // FNV-1a digest over every capture's PMU counters, cycle split and
+  // boundary snapshots, iterated in label order — so the digest is identical across
   // --jobs values. Non-destructive (the harness records it in the run
   // manifest before the exporters drain). Captures without PMU data
   // contribute only their label.
@@ -67,7 +71,7 @@ class Registry {
   // FNV-1a digest over every capture's window series, phase events and
   // flame profile, iterated in label order (hence --jobs-invariant).
   // Non-destructive; nullopt when no capture carries metrics, so the
-  // manifest field only appears for hub-enabled runs.
+  // manifest field only appears for windowed runs.
   std::optional<uint64_t> metrics_digest() const;
 
   // Simulated-heap counters summed across all captures (policy from the
@@ -78,6 +82,9 @@ class Registry {
   HeapPmuCounters heap_totals() const;
 
  private:
+  // The captures in label order; the caller holds mu_.
+  std::vector<const Capture*> sorted_by_label() const;
+
   mutable std::mutex mu_;
   std::vector<Capture> captures_;
 };

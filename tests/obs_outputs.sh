@@ -26,7 +26,7 @@ cd "$out"
   > /dev/null 2>&1
 
 # fig07 with a 5000-cycle window: window deltas and boundary snapshots.
-"$bench/fig07_contention" --fast --jobs=4 --sample-interval=5000 --metrics-window=5000 \
+"$bench/fig07_contention" --fast --jobs=4 --metrics-window=5000 \
   --metrics=fig07.w5000.prom --flamegraph=fig07.w5000.folded \
   --timeseries=fig07.w5000.timeseries.csv \
   --perf-stat=fig07.w5000.perf-stat.txt --manifest=fig07.w5000.manifest.json \

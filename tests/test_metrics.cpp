@@ -1,10 +1,10 @@
-// src/obs MetricsHub: exact event->window folding, the live subscribe seam,
-// the EWMA/CUSUM phase detector on synthetic and simulated series, the
-// wasted-cycle flame profile (exact under ring wrap), and the OpenMetrics /
-// collapsed-stack exporters' determinism.
+// src/obs window series: TraceSink's exact event->window folding, the live
+// subscribe seam, the EWMA/CUSUM phase detector on synthetic and simulated
+// series, the wasted-cycle flame profile (exact under ring wrap), and the
+// OpenMetrics / collapsed-stack exporters' determinism.
 //
-// The window/total identity against PmuData lives in test_pmu.cpp next to
-// the cycle-attribution identity it extends.
+// The window/total identity against independent counters lives in
+// test_pmu.cpp next to the cycle-attribution identity it extends.
 
 #include <gtest/gtest.h>
 
@@ -30,12 +30,6 @@ using sim::Word;
 
 // ---- PhaseDetector on synthetic window series ----
 
-obs::MetricsConfig det_cfg() {
-  obs::MetricsConfig cfg;
-  cfg.window_cycles = 1000;
-  return cfg;  // detector defaults: warmup 3, alpha 0.25, k 0.5, h 4
-}
-
 // A window with the given commit count (activity channel) and optional
 // abort traffic (abort-rate channel).
 obs::MetricsWindow win(uint64_t commits, uint64_t aborts = 0,
@@ -54,14 +48,14 @@ obs::MetricsWindow win(uint64_t commits, uint64_t aborts = 0,
 }
 
 TEST(PhaseDetector, SteadySeriesNeverFires) {
-  obs::PhaseDetector det(det_cfg());
+  obs::PhaseDetector det;  // warmup 3, alpha 0.25, k 0.5, h 4
   for (int i = 0; i < 200; ++i) {
     EXPECT_FALSE(det.update(win(100)).has_value()) << "window " << i;
   }
 }
 
 TEST(PhaseDetector, ActivityStepUpFiresWithinOneWindow) {
-  obs::PhaseDetector det(det_cfg());
+  obs::PhaseDetector det;  // warmup 3, alpha 0.25, k 0.5, h 4
   for (int i = 0; i < 20; ++i) ASSERT_FALSE(det.update(win(100)));
   // 4x throughput step: log1p jumps ~1.4 against a near-zero deviation
   // (floored at 0.08), so the CUSUM must cross on the very first shifted
@@ -75,7 +69,7 @@ TEST(PhaseDetector, ActivityStepUpFiresWithinOneWindow) {
 }
 
 TEST(PhaseDetector, ActivityStepDownFiresFalling) {
-  obs::PhaseDetector det(det_cfg());
+  obs::PhaseDetector det;  // warmup 3, alpha 0.25, k 0.5, h 4
   for (int i = 0; i < 20; ++i) ASSERT_FALSE(det.update(win(400)));
   std::optional<obs::PhaseEvent> e = det.update(win(50));
   ASSERT_TRUE(e.has_value());
@@ -85,7 +79,7 @@ TEST(PhaseDetector, ActivityStepDownFiresFalling) {
 }
 
 TEST(PhaseDetector, AbortRateStepFiresItsOwnChannel) {
-  obs::PhaseDetector det(det_cfg());
+  obs::PhaseDetector det;  // warmup 3, alpha 0.25, k 0.5, h 4
   // Constant commits (activity flat) with a contention step: abort rate
   // jumps from ~0.09 to 0.5 while log-activity stays fixed.
   for (int i = 0; i < 20; ++i) ASSERT_FALSE(det.update(win(100, 10)));
@@ -96,7 +90,7 @@ TEST(PhaseDetector, AbortRateStepFiresItsOwnChannel) {
 }
 
 TEST(PhaseDetector, WastedShareStepFiresItsOwnChannel) {
-  obs::PhaseDetector det(det_cfg());
+  obs::PhaseDetector det;  // warmup 3, alpha 0.25, k 0.5, h 4
   // Fixed commit/abort counts; only the cycle mix moves, so neither the
   // activity nor the abort-rate channel sees a shift.
   for (int i = 0; i < 20; ++i) {
@@ -109,7 +103,7 @@ TEST(PhaseDetector, WastedShareStepFiresItsOwnChannel) {
 }
 
 TEST(PhaseDetector, RelearnsAfterBoundaryWithoutRefiring) {
-  obs::PhaseDetector det(det_cfg());
+  obs::PhaseDetector det;  // warmup 3, alpha 0.25, k 0.5, h 4
   for (int i = 0; i < 20; ++i) ASSERT_FALSE(det.update(win(100)));
   ASSERT_TRUE(det.update(win(400)).has_value());
   // The new phase is steady at the shifted level: after the cooldown and
@@ -122,33 +116,25 @@ TEST(PhaseDetector, RelearnsAfterBoundaryWithoutRefiring) {
 }
 
 TEST(PhaseDetector, WarmupWindowsNeverFire) {
-  obs::MetricsConfig cfg = det_cfg();
-  cfg.warmup_windows = 5;
-  obs::PhaseDetector det(cfg);
+  obs::PhaseDetector det;
   // A wild series inside the warmup: the detector is still learning and
-  // must stay silent for warmup_windows + 1 windows (prime + warmup).
-  for (uint32_t i = 0; i <= cfg.warmup_windows; ++i) {
+  // must stay silent for kWarmupWindows + 1 windows (prime + warmup).
+  for (uint32_t i = 0; i <= obs::PhaseDetector::kWarmupWindows; ++i) {
     EXPECT_FALSE(det.update(win(i % 2 ? 500 : 10)).has_value());
   }
 }
 
-// ---- MetricsHub feeding, sealing and the subscribe seam ----
+// ---- TraceSink window feeding, sealing and the subscribe seam ----
 
-obs::MetricsConfig hub_cfg(Cycles window) {
-  obs::MetricsConfig cfg;
-  cfg.window_cycles = window;
-  return cfg;
-}
-
-TEST(MetricsHub, EventsLandInTheWindowContainingTheirTimestamp) {
-  obs::MetricsHub hub(hub_cfg(100));
-  hub.hw_begin(0, 10);
-  hub.hw_commit(0, 99);   // attempt [10, 99]: window 0, 89 committed cycles
-  hub.hw_begin(0, 150);
-  hub.hw_commit(0, 260);  // closes in window 2: cycles attributed there
-  hub.hw_begin(1, 205);
-  hub.hw_abort(1, 230, sim::AbortReason::kConflict, 7, obs::kNoSite);
-  obs::MetricsData d = hub.finalize(300);
+TEST(WindowSeries, EventsLandInTheWindowContainingTheirTimestamp) {
+  obs::TraceSink sink(1 << 10, 100);
+  sink.tx_begin(0, 10);
+  sink.tx_commit(0, 99);   // attempt [10, 99]: window 0, 89 committed cycles
+  sink.tx_begin(0, 150);
+  sink.tx_commit(0, 260);  // closes in window 2: cycles attributed there
+  sink.tx_begin(1, 205);
+  sink.tx_abort(1, 230, sim::AbortReason::kConflict, ~0ull, 1);
+  obs::MetricsData d = sink.metrics_data(300);
   ASSERT_EQ(d.windows.size(), 3u);
   EXPECT_EQ(d.windows[0].hw_starts, 1u);
   EXPECT_EQ(d.windows[0].hw_commits, 1u);
@@ -165,11 +151,11 @@ TEST(MetricsHub, EventsLandInTheWindowContainingTheirTimestamp) {
             1u);
 }
 
-TEST(MetricsHub, FinalizePadsIdleTailToWall) {
-  obs::MetricsHub hub(hub_cfg(100));
-  hub.hw_begin(0, 5);
-  hub.hw_commit(0, 50);
-  obs::MetricsData d = hub.finalize(1000);
+TEST(WindowSeries, FinalizePadsIdleTailToWall) {
+  obs::TraceSink sink(1 << 10, 100);
+  sink.tx_begin(0, 5);
+  sink.tx_commit(0, 50);
+  obs::MetricsData d = sink.metrics_data(1000);
   ASSERT_EQ(d.windows.size(), 10u);  // trailing idle windows materialized
   for (size_t i = 0; i < d.windows.size(); ++i) {
     EXPECT_EQ(d.windows[i].start, i * 100u);
@@ -177,10 +163,10 @@ TEST(MetricsHub, FinalizePadsIdleTailToWall) {
   }
 }
 
-TEST(MetricsHub, SubscribersSeeContiguousWindowsInOrderWithOneWindowLag) {
-  obs::MetricsHub hub(hub_cfg(100));
+TEST(WindowSeries, SubscribersSeeContiguousWindowsInOrderWithOneWindowLag) {
+  obs::TraceSink sink(1 << 10, 100);
   std::vector<Cycles> starts;
-  hub.subscribe([&](const obs::MetricsWindow& w,
+  sink.subscribe([&](const obs::MetricsWindow& w,
                     const std::optional<obs::PhaseEvent>&) {
     starts.push_back(w.start);
   });
@@ -188,60 +174,61 @@ TEST(MetricsHub, SubscribersSeeContiguousWindowsInOrderWithOneWindowLag) {
   // high-water mark by one full window (clock-skew slack): after an event
   // at t in window 4, windows [0, 3) are sealed.
   for (Cycles t = 10; t < 450; t += 20) {
-    hub.hw_begin(0, t);
-    hub.hw_commit(0, t + 5);
+    sink.tx_begin(0, t);
+    sink.tx_commit(0, t + 5);
   }
   ASSERT_EQ(starts.size(), 3u);
   EXPECT_EQ(starts[0], 0u);
   EXPECT_EQ(starts[1], 100u);
   EXPECT_EQ(starts[2], 200u);
-  // finalize delivers the rest exactly once, still in order.
-  obs::MetricsData d = hub.finalize(450);
+  // metrics_data delivers the rest exactly once, still in order.
+  obs::MetricsData d = sink.metrics_data(450);
   ASSERT_EQ(starts.size(), d.windows.size());
   for (size_t i = 0; i < starts.size(); ++i) {
     EXPECT_EQ(starts[i], i * 100u);
   }
 }
 
-TEST(MetricsHub, LiveWindowsMatchFinalizedWindows) {
-  obs::MetricsHub hub(hub_cfg(100));
+TEST(WindowSeries, LiveWindowsMatchFinalizedWindows) {
+  obs::TraceSink sink(1 << 10, 100);
   std::vector<uint64_t> live_commits;
-  hub.subscribe([&](const obs::MetricsWindow& w,
+  sink.subscribe([&](const obs::MetricsWindow& w,
                     const std::optional<obs::PhaseEvent>&) {
     live_commits.push_back(w.hw_commits);
   });
   for (Cycles t = 0; t < 1000; t += 10) {
-    hub.hw_begin(0, t);
-    hub.hw_commit(0, t + 9);
+    sink.tx_begin(0, t);
+    sink.tx_commit(0, t + 9);
   }
-  obs::MetricsData d = hub.finalize(1000);
+  obs::MetricsData d = sink.metrics_data(1000);
   ASSERT_EQ(live_commits.size(), d.windows.size());
   for (size_t i = 0; i < d.windows.size(); ++i) {
     EXPECT_EQ(live_commits[i], d.windows[i].hw_commits) << "window " << i;
   }
 }
 
-TEST(MetricsHub, FinalizeIsIdempotent) {
-  obs::MetricsHub hub(hub_cfg(100));
-  hub.hw_begin(0, 10);
-  hub.hw_commit(0, 20);
-  obs::MetricsData a = hub.finalize(200);
-  obs::MetricsData b = hub.finalize(200);
+TEST(WindowSeries, FinalizeIsIdempotent) {
+  obs::TraceSink sink(1 << 10, 100);
+  sink.tx_begin(0, 10);
+  sink.tx_commit(0, 20);
+  obs::MetricsData a = sink.metrics_data(200);
+  obs::MetricsData b = sink.metrics_data(200);
   ASSERT_EQ(a.windows.size(), b.windows.size());
   EXPECT_EQ(a.phases.size(), b.phases.size());
   EXPECT_EQ(a.windows[0].hw_commits, b.windows[0].hw_commits);
 }
 
-TEST(MetricsHub, ElideCountersAggregatePerLockPerWindow) {
-  obs::MetricsHub hub(hub_cfg(100));
-  hub.elide_lock_name(3, "hot-mutex");
-  hub.elide_acquire(3, 50, obs::ElideAcqKind::kElided, 40, 0);
-  hub.elide_acquire(3, 60, obs::ElideAcqKind::kFallback, 0, 25);
-  hub.elide_acquire(3, 150, obs::ElideAcqKind::kElided, 30, 0);
-  obs::MetricsData d = hub.finalize(200);
+TEST(WindowSeries, ElideCountersAggregatePerLockPerWindow) {
+  obs::TraceSink sink(1 << 10, 100);
+  sink.elide_lock_name(3, "hot-mutex");
+  sink.elide_acquire(3, 50, obs::ElideAcqKind::kElided, 1, 40, 0, false);
+  sink.elide_acquire(3, 60, obs::ElideAcqKind::kFallback, 3, 0, 25, false);
+  sink.elide_acquire(3, 150, obs::ElideAcqKind::kElided, 1, 30, 0, false);
+  obs::MetricsData d = sink.metrics_data(200);
   ASSERT_EQ(d.windows.size(), 2u);
-  const obs::ElideWindowCounters& w0 = d.windows[0].elide.at(3);
+  const obs::ElideCounters& w0 = d.windows[0].elide.at(3);
   EXPECT_EQ(w0.acquisitions, 2u);
+  EXPECT_EQ(w0.attempts, 4u);
   EXPECT_EQ(w0.elided, 1u);
   EXPECT_EQ(w0.fallbacks, 1u);
   EXPECT_EQ(w0.cycles_elided, 40u);
@@ -285,21 +272,21 @@ TEST(FlameProfile, WeightsSumToWastedCyclesEvenAfterRingWrap) {
   core::TxRuntime rt(traced_cfg(Backend::kRtm, 16));
   run_contended(rt, 2);
   ASSERT_GT(rt.trace_sink()->dropped(), 0u);
-  auto m = rt.metrics_data();
   auto p = rt.pmu_data();
-  ASSERT_TRUE(m.has_value());
   ASSERT_TRUE(p.has_value());
   ASSERT_GT(p->split.wasted, 0u);
+  // The flame edges live in the per-site records; split.wasted sums the
+  // per-context records.
   uint64_t flame_total = 0;
-  for (const auto& [victim, edges] : m->flame) {
-    for (const auto& [key, cycles] : edges) flame_total += cycles;
+  for (const auto& [site, agg] : rt.trace_sink()->sites()) {
+    for (const auto& [key, cycles] : agg.flame) flame_total += cycles;
   }
   EXPECT_EQ(flame_total, p->split.wasted);
 }
 
 // ---- Exporters ----
 
-obs::Capture hub_capture(const std::string& label, Backend b) {
+obs::Capture series_capture(const std::string& label, Backend b) {
   core::TxRuntime rt(traced_cfg(b, 1 << 16));
   run_contended(rt, 2);
   obs::Capture c = obs::make_capture(*rt.trace_sink(), label, 3.3, 2);
@@ -311,7 +298,7 @@ obs::Capture hub_capture(const std::string& label, Backend b) {
 TEST(OpenMetrics, ExpositionIsByteDeterministicAndWellFormed) {
   auto render = [] {
     std::vector<obs::Capture> caps;
-    caps.push_back(hub_capture("cell:rtm", Backend::kRtm));
+    caps.push_back(series_capture("cell:rtm", Backend::kRtm));
     std::ostringstream os;
     obs::write_openmetrics(os, caps);
     return os.str();
@@ -337,8 +324,8 @@ TEST(OpenMetrics, SamplesFollowRegistryLabelOrder) {
   // Registry::drain label-sorts, which is what makes the exposition --jobs
   // invariant; the exporter itself must preserve that order per family.
   obs::Registry reg;
-  reg.add(hub_capture("cell:b", Backend::kRtm));
-  reg.add(hub_capture("cell:a", Backend::kRtm));
+  reg.add(series_capture("cell:b", Backend::kRtm));
+  reg.add(series_capture("cell:a", Backend::kRtm));
   std::vector<obs::Capture> caps = reg.drain();
   std::ostringstream os;
   obs::write_openmetrics(os, caps);
@@ -353,7 +340,7 @@ TEST(OpenMetrics, SamplesFollowRegistryLabelOrder) {
 TEST(Flamegraph, CollapsedStacksAreDeterministicAndWeighted) {
   auto render = [] {
     std::vector<obs::Capture> caps;
-    caps.push_back(hub_capture("cell:rtm", Backend::kRtm));
+    caps.push_back(series_capture("cell:rtm", Backend::kRtm));
     std::ostringstream os;
     obs::write_flamegraph(os, caps);
     return os.str();
@@ -381,7 +368,7 @@ TEST(Flamegraph, CollapsedStacksAreDeterministicAndWeighted) {
 
 // ---- Phase events reach the finalized data on a simulated phased run ----
 
-TEST(MetricsHub, SimulatedLoadShiftProducesAPhaseEvent) {
+TEST(WindowSeries, SimulatedLoadShiftProducesAPhaseEvent) {
   // Two phases in one run: a quiet warmup (sparse small transactions), then
   // a hot burst (every context hammering one line). The detector must mark
   // at least one boundary, on the activity or contention axis.

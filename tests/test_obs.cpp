@@ -51,6 +51,11 @@ TEST(TraceSink, RejectsZeroCapacity) {
   EXPECT_THROW(obs::TraceSink sink(0), std::invalid_argument);
 }
 
+TEST(TraceSink, EventsStayCompact) {
+  // The ring holds 65536 events per traced run by default.
+  EXPECT_LE(sizeof(obs::Event), 56u);
+}
+
 // Two threads hammer the same word from distinct call sites: the abort
 // report must name the contended line and blame the opposite site.
 core::RunConfig conflict_cfg() {
@@ -157,22 +162,31 @@ TEST(AbortReport, WriterCoversEverySiteAndDroppedNote) {
   EXPECT_NE(r.find("site#2"), std::string::npos);
 }
 
-TEST(EnergyWindows, SamplesAreEmittedOnMonotonicBoundaries) {
+TEST(WindowSnapshots, EveryCrossedBoundaryIsSnapshottedInOrder) {
   core::RunConfig cfg = conflict_cfg();
-  cfg.obs.sample_interval = 1000;
+  cfg.obs.metrics.window_cycles = 1000;
   core::TxRuntime rt(cfg);
   sim::Addr addr = 0;
   run_conflict_workload(rt, &addr);
-  Cycles last = 0;
-  size_t samples = 0;
-  for (const obs::Event& e : rt.trace_sink()->events()) {
-    if (e.kind != obs::EventKind::kEnergy) continue;
-    ++samples;
-    EXPECT_EQ(e.t % 1000, 0u);  // window boundaries only
-    EXPECT_GT(e.t, last);       // strictly monotonic
-    last = e.t;
+  auto m = rt.metrics_data();
+  ASSERT_TRUE(m.has_value());
+  // Boundaries are crossed in order, so the snapshotted windows are a
+  // prefix of the series: one per boundary the run's clock passed.
+  size_t n = m->snapshots();
+  EXPECT_GT(n, 1u);
+  EXPECT_EQ(n, rt.report().wall_cycles / 1000);
+  uint64_t last_ops = 0, last_commits = 0;
+  for (size_t i = 0; i < m->windows.size(); ++i) {
+    const obs::MetricsWindow& w = m->windows[i];
+    ASSERT_EQ(w.end.has_value(), i < n) << "window " << i;
+    if (!w.end) continue;
+    // Cumulative counters never fall from one boundary to the next.
+    EXPECT_GE(w.end->machine.ops, last_ops);
+    EXPECT_GE(w.end->machine.tx.committed, last_commits);
+    last_ops = w.end->machine.ops;
+    last_commits = w.end->machine.tx.committed;
   }
-  EXPECT_GT(samples, 1u);
+  EXPECT_GT(last_commits, 0u);
 }
 
 TEST(Registry, DrainSortsByLabelRegardlessOfAddOrder) {

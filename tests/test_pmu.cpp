@@ -1,6 +1,7 @@
 // src/obs PMU: log2 histograms, per-context cycle attribution (the
 // committed + wasted + non-tx + idle == wall identity), the committed-vs-
-// wasted energy split, perf-stat counters, and the sample time series.
+// wasted energy split, perf-stat counters, and the boundary-snapshot time
+// series.
 //
 // The identity tests are the PR's core property: for every backend — pure
 // hardware (RTM), pure software (TinySTM), mixed (hybrid), and no
@@ -19,7 +20,6 @@
 #include "obs/histogram.h"
 #include "obs/pmu.h"
 #include "obs/registry.h"
-#include "obs/timeseries.h"
 #include "obs/trace_sink.h"
 
 namespace {
@@ -140,7 +140,7 @@ core::RunConfig pmu_cfg(Backend b, uint32_t threads, bool interrupts) {
   cfg.threads = threads;
   cfg.machine.interrupts_enabled = interrupts;
   cfg.obs.enabled = true;
-  cfg.obs.sample_interval = 2000;
+  cfg.obs.metrics.window_cycles = 2000;
   return cfg;
 }
 
@@ -284,13 +284,14 @@ TEST(RunReport, EnergySplitSumsToReportTotal) {
 
 // ---- Reports and exports are deterministic ----
 
-obs::Capture captured_run(Backend b) {
+obs::Capture captured_run(Backend b, bool with_series = false) {
   core::RunConfig cfg = pmu_cfg(b, 2, false);
   core::TxRuntime rt(cfg);
   run_counter_workload(rt, 2);
   obs::Capture c =
       obs::make_capture(*rt.trace_sink(), "test:pmu", 3.3, 2);
   c.pmu = rt.pmu_data();
+  if (with_series) c.metrics = rt.metrics_data();
   return c;
 }
 
@@ -314,14 +315,14 @@ TEST(PerfStat, ReportIsByteDeterministicAndNamesHaswellEvents) {
 TEST(Timeseries, CsvHasSamplesAndIsByteDeterministic) {
   auto render = [] {
     std::vector<obs::Capture> caps;
-    caps.push_back(captured_run(Backend::kRtm));
+    caps.push_back(captured_run(Backend::kRtm, /*with_series=*/true));
     std::ostringstream os;
     obs::write_timeseries_csv(os, caps);
     return os.str();
   };
   std::string a = render();
   EXPECT_EQ(a.rfind("label,t_cycles,", 0), 0u);  // header first
-  // With sample_interval=2000 and a multi-thousand-cycle run there must be
+  // With a 2000-cycle window and a multi-thousand-cycle run there must be
   // data rows, each labeled and on a window boundary.
   EXPECT_NE(a.find("\ntest:pmu,"), std::string::npos);
   EXPECT_EQ(a, render());
@@ -375,20 +376,24 @@ TEST(Registry, HeapPolicyChangesTheCounterDigest) {
   EXPECT_NE(r1.counter_digest(), r2.counter_digest());
 }
 
-// ---- Window/total identity: MetricsHub window deltas vs PmuData totals ----
+// ---- Window/total identity: window deltas vs independent totals ----
 //
-// The hub's windowing contract: every event lands in the window containing
-// its timestamp, so for EVERY counter the sum of window deltas must equal
-// the finalized PmuData total exactly — for pure-hardware, pure-software,
-// mixed and no-transaction backends, and under interrupt-forced aborts.
+// The windowing contract: every event lands in the window containing its
+// timestamp, so for EVERY counter the sum of window deltas must equal the
+// run's total exactly — for pure-hardware, pure-software, mixed and
+// no-transaction backends, and under interrupt-forced aborts. PmuData's
+// software-attempt and fallback totals are themselves window sums, so
+// those are checked against the executors' own counters instead; hardware
+// attempts against the machine's counters.
 
-core::RunConfig hub_cfg(Backend b, uint32_t threads, bool interrupts) {
+core::RunConfig window_cfg(Backend b, uint32_t threads, bool interrupts) {
   core::RunConfig cfg = pmu_cfg(b, threads, interrupts);
   cfg.obs.metrics.window_cycles = 700;  // off-round: exercises boundaries
   return cfg;
 }
 
-void expect_window_identity(const obs::MetricsData& m, const obs::PmuData& d) {
+void expect_window_identity(const obs::MetricsData& m, const obs::PmuData& d,
+                            const core::RunReport& rep) {
   ASSERT_GT(m.window_cycles, 0u);
   // The series tiles [0, wall): contiguous fixed-stride starts, covering
   // every cycle of the run.
@@ -428,12 +433,13 @@ void expect_window_identity(const obs::MetricsData& m, const obs::PmuData& d) {
     EXPECT_EQ(sum.aborts_by_reason[i], tx.aborts_by_reason[i])
         << "reason " << i;
   }
-  EXPECT_EQ(sum.stm_starts, d.stm_starts);
-  EXPECT_EQ(sum.stm_commits, d.stm_commits);
-  EXPECT_EQ(sum.stm_aborts, d.stm_aborts);
-  EXPECT_EQ(sum.fallbacks, d.fallbacks);
-  // Cycle deltas: both the hub and the Pmu attribute an attempt's span to
-  // its closing event, so the sums agree exactly.
+  EXPECT_EQ(sum.stm_starts, rep.stm.starts);
+  EXPECT_EQ(sum.stm_commits, rep.stm.commits);
+  EXPECT_EQ(sum.stm_aborts, rep.stm.aborts());
+  EXPECT_EQ(sum.fallbacks, rep.rtm.fallbacks);
+  // Cycle deltas: the window records and the per-context records both
+  // attribute an attempt's span at its closing event, so the sums agree
+  // exactly.
   EXPECT_EQ(sum.committed_cycles, d.split.committed);
   EXPECT_EQ(sum.wasted_cycles, d.split.wasted);
 }
@@ -441,17 +447,17 @@ void expect_window_identity(const obs::MetricsData& m, const obs::PmuData& d) {
 class MetricsWindowIdentity : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(MetricsWindowIdentity, WindowDeltasSumToPmuTotals) {
-  core::TxRuntime rt(hub_cfg(GetParam(), 2, false));
+  core::TxRuntime rt(window_cfg(GetParam(), 2, false));
   run_counter_workload(rt, 2);
   auto m = rt.metrics_data();
   auto d = rt.pmu_data();
   ASSERT_TRUE(m.has_value());
   ASSERT_TRUE(d.has_value());
-  expect_window_identity(*m, *d);
+  expect_window_identity(*m, *d, rt.report());
 }
 
 TEST_P(MetricsWindowIdentity, HoldsUnderInterruptForcedAborts) {
-  core::RunConfig cfg = hub_cfg(GetParam(), 2, true);
+  core::RunConfig cfg = window_cfg(GetParam(), 2, true);
   cfg.machine.interrupt_mean_cycles = 3000;  // frequent: forced aborts
   core::TxRuntime rt(cfg);
   run_counter_workload(rt, 2);
@@ -459,7 +465,7 @@ TEST_P(MetricsWindowIdentity, HoldsUnderInterruptForcedAborts) {
   auto d = rt.pmu_data();
   ASSERT_TRUE(m.has_value());
   ASSERT_TRUE(d.has_value());
-  expect_window_identity(*m, *d);
+  expect_window_identity(*m, *d, rt.report());
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, MetricsWindowIdentity,
@@ -470,7 +476,7 @@ INSTANTIATE_TEST_SUITE_P(Backends, MetricsWindowIdentity,
                          });
 
 TEST(MetricsWindowIdentity, LockBackendWindowsCarryLockSections) {
-  core::TxRuntime rt(hub_cfg(Backend::kLock, 2, false));
+  core::TxRuntime rt(window_cfg(Backend::kLock, 2, false));
   run_counter_workload(rt, 2);
   auto m = rt.metrics_data();
   ASSERT_TRUE(m.has_value());
@@ -486,17 +492,17 @@ TEST(MetricsWindowIdentity, LockBackendWindowsCarryLockSections) {
   EXPECT_GT(section_cycles, 0u);
 }
 
-TEST(Registry, MetricsDigestIsOrderInvariantAndPresentOnlyWithHub) {
-  auto captured_hub_run = [](const std::string& label, Backend b) {
-    core::TxRuntime rt(hub_cfg(b, 2, false));
+TEST(Registry, MetricsDigestIsOrderInvariantAndPresentOnlyWithSeries) {
+  auto captured_series_run = [](const std::string& label, Backend b) {
+    core::TxRuntime rt(window_cfg(b, 2, false));
     run_counter_workload(rt, 2);
     obs::Capture c = obs::make_capture(*rt.trace_sink(), label, 3.3, 2);
     c.pmu = rt.pmu_data();
     c.metrics = rt.metrics_data();
     return c;
   };
-  obs::Capture a = captured_hub_run("hub:a", Backend::kRtm);
-  obs::Capture b = captured_hub_run("hub:b", Backend::kTinyStm);
+  obs::Capture a = captured_series_run("series:a", Backend::kRtm);
+  obs::Capture b = captured_series_run("series:b", Backend::kTinyStm);
 
   obs::Registry serial, shuffled;  // jobs=1 vs jobs=N completion orders
   serial.add(a);
@@ -508,8 +514,8 @@ TEST(Registry, MetricsDigestIsOrderInvariantAndPresentOnlyWithHub) {
   ASSERT_TRUE(d1.has_value());
   EXPECT_EQ(*d1, *d2);
 
-  // Without hub-carrying captures the digest is absent (and the manifest
-  // field omitted), not zero.
+  // Without series-carrying captures the digest is absent (and the
+  // manifest field omitted), not zero.
   obs::Registry off;
   off.add(captured_run(Backend::kRtm));
   EXPECT_FALSE(off.metrics_digest().has_value());
