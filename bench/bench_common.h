@@ -238,8 +238,9 @@ class ObsFlusher {
 // speedscope), --metrics-window=CYCLES (the one window length: window
 // deltas, the boundary snapshots behind --timeseries and the trace's
 // counter tracks; defaults to 10000 when --metrics, --flamegraph or
-// --timeseries is given), --energy-split (extra committed/wasted energy columns in the energy
-// drivers' CSV output; default output stays byte-identical),
+// --timeseries is given), --energy-split (extra committed/wasted energy
+// columns in the energy drivers' CSV output; default output stays
+// byte-identical),
 // --progress[=BOOL] (force sweep progress lines on/off; default: only when
 // stderr is a TTY, see harness::RunnerOptions::assume_tty),
 // --malloc-policy=NAME (simulated-heap placement policy for every measured

@@ -96,8 +96,7 @@ std::optional<PhaseEvent> PhaseDetector::update(const MetricsWindow& w) {
       }
     }
     c.mean += kEwmaAlpha * resid;
-    c.dev = (1.0 - kEwmaAlpha) * c.dev +
-            kEwmaAlpha * std::fabs(resid);
+    c.dev = (1.0 - kEwmaAlpha) * c.dev + kEwmaAlpha * std::fabs(resid);
   }
 
   if (fired) {
@@ -118,7 +117,7 @@ size_t MetricsData::snapshots() const {
 MetricsData TraceSink::metrics_data(sim::Cycles wall) {
   // Pad the series to cover [0, wall) so trailing idle time is visible,
   // then deliver any unsealed windows to live subscribers.
-  if (wall > 0) window_at(window_cycles_ ? wall - 1 : 0);
+  if (wall > 0) window_at(wall - 1);
   if (!finalized_) {
     finalized_ = true;
     seal_through(windows_.size());

@@ -57,10 +57,10 @@ class Registry {
   size_t size() const;
 
   // FNV-1a digest over every capture's PMU counters, cycle split and
-  // boundary snapshots, iterated in label order — so the digest is identical across
-  // --jobs values. Non-destructive (the harness records it in the run
-  // manifest before the exporters drain). Captures without PMU data
-  // contribute only their label.
+  // boundary snapshots, iterated in label order — so the digest is
+  // identical across --jobs values. Non-destructive (the harness records it
+  // in the run manifest before the exporters drain). Captures without PMU
+  // data contribute only their label.
   uint64_t counter_digest() const;
 
   // Per-lock elision counters aggregated across all captures by lock name,

@@ -18,7 +18,8 @@ const char* event_kind_name(EventKind k) {
 TraceSink::TraceSink(size_t capacity, sim::Cycles window_cycles)
     : cap_(capacity),
       arena_(capacity * sizeof(Event)),
-      window_cycles_(window_cycles) {
+      window_cycles_(window_cycles),
+      seal_t_(window_cycles ? 2 * window_cycles : ~sim::Cycles{0}) {
   if (capacity == 0) throw std::invalid_argument("TraceSink capacity == 0");
   ring_ = arena_.alloc_array<Event>(capacity);
 }
@@ -50,10 +51,9 @@ MetricsWindow& TraceSink::window(sim::Cycles t) {
   // smallest-clock runnable context, so a context can run at most one
   // quantum past its peers — events for window w stop arriving well before
   // the stream's high-water mark leaves window w+1.
-  if (t > max_t_seen_ && window_cycles_) {
-    max_t_seen_ = t;
-    size_t hw = static_cast<size_t>(t / window_cycles_);
-    if (hw >= 2) seal_through(hw - 1);
+  if (t >= seal_t_) {
+    seal_through(static_cast<size_t>(t / window_cycles_) - 1);
+    seal_t_ = static_cast<sim::Cycles>(sealed_ + 2) * window_cycles_;
   }
   return window_at(t);
 }

@@ -158,7 +158,8 @@ class TraceSink {
   }
 
  private:
-  // The per-context record.
+  // The per-context record, indexed by the machine's context id (below
+  // sim::kMaxCtxs, which sim::Machine enforces).
   struct CtxRecord {
     uint32_t site = kNoSite;
     SiteAgg* agg = nullptr;  // &sites_[site], resolved at its first event
@@ -209,8 +210,10 @@ class TraceSink {
 
   std::vector<WindowCallback> subscribers_;
   PhaseDetector live_detector_;
-  sim::Cycles max_t_seen_ = 0;
   size_t sealed_ = 0;  // windows [0, sealed_) already delivered live
+  // The first event time that seals another window: the end of window
+  // sealed_ + 1 (never, for a whole-run window).
+  sim::Cycles seal_t_;
   bool finalized_ = false;
 };
 

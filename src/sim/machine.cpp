@@ -60,8 +60,7 @@ void Machine::set_obs_hooks(ObsHooks hooks, Cycles sample_window_cycles) {
   obs_ = std::move(hooks);
   sample_window_ = obs_.on_sample_window ? sample_window_cycles : 0;
   next_sample_ = sample_window_;
-  max_clock_seen_ = 0;
-  sample_gate_ = sample_window_ ? 0 : ~Cycles{0};
+  sample_gate_ = sample_window_ ? next_sample_ - 1 : ~Cycles{0};
   if (obs_.on_tx_evict) {
     mem_.set_evict_hook([this](CtxId by, int level, uint64_t line) {
       obs_.on_tx_evict(by, ctxs_[by].clock, level, line);
@@ -112,14 +111,14 @@ bool Machine::sibling_active(const SimContext& c) const {
   return false;
 }
 
-// The high-water mark makes boundary order monotonic across contexts.
+// Boundaries are reported in order, each by the first context whose clock
+// reaches it.
 void Machine::cross_sample_windows(SimContext& c) {
-  max_clock_seen_ = c.clock;
-  sample_gate_ = c.clock;
-  while (max_clock_seen_ >= next_sample_) {
+  while (c.clock >= next_sample_) {
     obs_.on_sample_window(next_sample_, stats_);
     next_sample_ += sample_window_;
   }
+  sample_gate_ = next_sample_ - 1;
 }
 
 void Machine::maybe_yield_slow() {

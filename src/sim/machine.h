@@ -90,8 +90,7 @@ struct ObsHooks {
   // write-set eviction, 3 = L3 read-set eviction. `by` triggered the fill.
   std::function<void(CtxId, Cycles, int, uint64_t)> on_tx_evict;
   // Fired when simulated time first crosses each sample-window boundary
-  // (the unified counter-sampling path: energy-model samples and the PMU
-  // time series both hang off it); receives the boundary timestamp and a
+  // (the obs fold's window ends); receives the boundary timestamp and a
   // stats snapshot at that moment.
   std::function<void(Cycles, const MachineStats&)> on_sample_window;
 };
@@ -316,9 +315,8 @@ class Machine {
   ObsHooks obs_;
   Cycles sample_window_ = 0;  // 0 = counter sampling off
   Cycles next_sample_ = 0;    // next window boundary to report
-  Cycles max_clock_seen_ = 0; // high-water mark driving window crossings
-  // max_clock_seen_ while sampling is on, ~0 while off: the per-op window
-  // check is then a single load+compare.
+  // next_sample_ - 1 while sampling is on, ~0 while off: the per-op window
+  // check is then a single load+compare that passes only at a boundary.
   Cycles sample_gate_ = ~Cycles{0};
 };
 
@@ -362,8 +360,9 @@ inline void Machine::advance_ctx(SimContext& c, Cycles core_cycles,
   c.busy += adj_core + mem_cycles;
   // Sample-window counter sampling: report each window boundary the first
   // time any context's clock crosses it (emission is host-side only, so
-  // sampling never perturbs the simulated timeline). sample_gate_ is the
-  // high-water mark, or ~0 when sampling is off — one compare covers both.
+  // sampling never perturbs the simulated timeline). sample_gate_ sits just
+  // below the next boundary, or at ~0 when sampling is off — one compare
+  // covers both.
   if (c.clock > sample_gate_) cross_sample_windows(c);
 }
 

@@ -45,14 +45,14 @@ void StmExecutor::execute(util::FnRef<void()> body, uint32_t site) {
       hooks_.on_commit();
       return;
     } catch (const StmAborted& a) {
+      // Read the exception before the cleanup, which can yield: the C++
+      // runtime tracks caught exceptions per host thread, not per fiber, so
+      // another fiber leaving its own catch block may free this one.
+      uint64_t line = a.addr == ~sim::Addr{0} ? ~0ull : sim::line_of(a.addr);
+      CtxId attacker = a.owner == sim::kNoCtx ? ctx : a.owner;
       stm_.tx_abort_cleanup(ctx);
       stm_.stats().cycles_aborted += m_.now() - t0;
-      if (sink_) {
-        sink_->stm_abort(
-            ctx, m_.now(),
-            a.addr == ~sim::Addr{0} ? ~0ull : sim::line_of(a.addr),
-            a.owner == sim::kNoCtx ? ctx : a.owner);
-      }
+      if (sink_) sink_->stm_abort(ctx, m_.now(), line, attacker);
       hooks_.on_abort();
       // Suicide + policy-shaped backoff (randomized exponential by default;
       // same rng-draw sequence as the historical inline formula).
@@ -79,14 +79,12 @@ bool StmExecutor::execute_once(util::FnRef<void()> body, uint32_t site) {
     hooks_.on_commit();
     return true;
   } catch (const StmAborted& a) {
+    // Read before the cleanup can yield (see execute()).
+    uint64_t line = a.addr == ~sim::Addr{0} ? ~0ull : sim::line_of(a.addr);
+    CtxId attacker = a.owner == sim::kNoCtx ? ctx : a.owner;
     stm_.tx_abort_cleanup(ctx);
     stm_.stats().cycles_aborted += m_.now() - t0;
-    if (sink_) {
-      sink_->stm_abort(
-          ctx, m_.now(),
-          a.addr == ~sim::Addr{0} ? ~0ull : sim::line_of(a.addr),
-          a.owner == sim::kNoCtx ? ctx : a.owner);
-    }
+    if (sink_) sink_->stm_abort(ctx, m_.now(), line, attacker);
     hooks_.on_abort();
     return false;
   }
