@@ -40,19 +40,20 @@ struct Event {
   // kTxBegin / kTxCommit / kTxAbort / kRetry
   uint32_t site = kNoSite;  // static xbegin call-site label
 
+  // The one-byte fields sit together so the event packs into 48 bytes.
+  sim::AbortReason reason = sim::AbortReason::kNone;  // kTxAbort
+  // kEvict: 1 = L1 write-set eviction, 3 = L3 read-set eviction
+  uint8_t level = 0;
+  // kRetry: 0 = speculative retry (after `backoff` cycles), 1 = serial
+  // fallback taken
+  uint8_t decision = 0;
+
   // kTxAbort
-  sim::AbortReason reason = sim::AbortReason::kNone;
   uint64_t line = ~0ull;               // conflicting line; kEvict: evicted line
   sim::CtxId attacker = ~sim::CtxId{0};
   uint32_t attacker_site = kNoSite;    // attacker's site at abort time
 
-  // kEvict: 1 = L1 write-set eviction, 3 = L3 read-set eviction
-  uint8_t level = 0;
-
-  // kRetry: 0 = speculative retry (after `backoff` cycles), 1 = serial
-  // fallback taken
-  uint8_t decision = 0;
-  sim::Cycles backoff = 0;
+  sim::Cycles backoff = 0;  // kRetry
 };
 
 }  // namespace tsx::obs

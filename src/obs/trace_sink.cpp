@@ -30,7 +30,7 @@ void TraceSink::push(const Event& e) {
     return;
   }
   ring_[head_] = e;  // overwrite the oldest
-  head_ = (head_ + 1) % cap_;
+  if (++head_ == cap_) head_ = 0;
   ++dropped_;
 }
 

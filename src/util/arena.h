@@ -90,7 +90,10 @@ class Arena {
     }
     if (cur_block_ >= blocks_.size()) {
       size_t cap = std::max(block_bytes_, min_bytes);
-      blocks_.push_back(Block{std::make_unique<std::byte[]>(cap), cap});
+      // Left uninitialized: callers construct what they allocate, and
+      // pages nobody writes (most of a trace ring's) never become resident.
+      blocks_.push_back(
+          Block{std::make_unique_for_overwrite<std::byte[]>(cap), cap});
       cur_block_ = blocks_.size() - 1;
     }
     pos_ = 0;

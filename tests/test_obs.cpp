@@ -53,7 +53,7 @@ TEST(TraceSink, RejectsZeroCapacity) {
 
 TEST(TraceSink, EventsStayCompact) {
   // The ring holds 65536 events per traced run by default.
-  EXPECT_LE(sizeof(obs::Event), 56u);
+  EXPECT_LE(sizeof(obs::Event), 48u);
 }
 
 // Two threads hammer the same word from distinct call sites: the abort
