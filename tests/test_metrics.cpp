@@ -126,7 +126,7 @@ TEST(PhaseDetector, WarmupWindowsNeverFire) {
 
 // ---- TraceSink window feeding, sealing and the subscribe seam ----
 
-TEST(WindowSeries, EventsLandInTheWindowContainingTheirTimestamp) {
+TEST(MetricsHub, EventsLandInTheWindowContainingTheirTimestamp) {
   obs::TraceSink sink(1 << 10, 100);
   sink.tx_begin(0, 10);
   sink.tx_commit(0, 99);   // attempt [10, 99]: window 0, 89 committed cycles
@@ -151,7 +151,7 @@ TEST(WindowSeries, EventsLandInTheWindowContainingTheirTimestamp) {
             1u);
 }
 
-TEST(WindowSeries, FinalizePadsIdleTailToWall) {
+TEST(MetricsHub, FinalizePadsIdleTailToWall) {
   obs::TraceSink sink(1 << 10, 100);
   sink.tx_begin(0, 5);
   sink.tx_commit(0, 50);
@@ -163,7 +163,7 @@ TEST(WindowSeries, FinalizePadsIdleTailToWall) {
   }
 }
 
-TEST(WindowSeries, SubscribersSeeContiguousWindowsInOrderWithOneWindowLag) {
+TEST(MetricsHub, SubscribersSeeContiguousWindowsInOrderWithOneWindowLag) {
   obs::TraceSink sink(1 << 10, 100);
   std::vector<Cycles> starts;
   sink.subscribe([&](const obs::MetricsWindow& w,
@@ -189,7 +189,7 @@ TEST(WindowSeries, SubscribersSeeContiguousWindowsInOrderWithOneWindowLag) {
   }
 }
 
-TEST(WindowSeries, LiveWindowsMatchFinalizedWindows) {
+TEST(MetricsHub, LiveWindowsMatchFinalizedWindows) {
   obs::TraceSink sink(1 << 10, 100);
   std::vector<uint64_t> live_commits;
   sink.subscribe([&](const obs::MetricsWindow& w,
@@ -207,7 +207,7 @@ TEST(WindowSeries, LiveWindowsMatchFinalizedWindows) {
   }
 }
 
-TEST(WindowSeries, FinalizeIsIdempotent) {
+TEST(MetricsHub, FinalizeIsIdempotent) {
   obs::TraceSink sink(1 << 10, 100);
   sink.tx_begin(0, 10);
   sink.tx_commit(0, 20);
@@ -218,7 +218,7 @@ TEST(WindowSeries, FinalizeIsIdempotent) {
   EXPECT_EQ(a.windows[0].hw_commits, b.windows[0].hw_commits);
 }
 
-TEST(WindowSeries, ElideCountersAggregatePerLockPerWindow) {
+TEST(MetricsHub, ElideCountersAggregatePerLockPerWindow) {
   obs::TraceSink sink(1 << 10, 100);
   sink.elide_lock_name(3, "hot-mutex");
   sink.elide_acquire(3, 50, obs::ElideAcqKind::kElided, 1, 40, 0, false);
@@ -368,7 +368,7 @@ TEST(Flamegraph, CollapsedStacksAreDeterministicAndWeighted) {
 
 // ---- Phase events reach the finalized data on a simulated phased run ----
 
-TEST(WindowSeries, SimulatedLoadShiftProducesAPhaseEvent) {
+TEST(MetricsHub, SimulatedLoadShiftProducesAPhaseEvent) {
   // Two phases in one run: a quiet warmup (sparse small transactions), then
   // a hot burst (every context hammering one line). The detector must mark
   // at least one boundary, on the activity or contention axis.

@@ -162,7 +162,7 @@ TEST(AbortReport, WriterCoversEverySiteAndDroppedNote) {
   EXPECT_NE(r.find("site#2"), std::string::npos);
 }
 
-TEST(WindowSnapshots, EveryCrossedBoundaryIsSnapshottedInOrder) {
+TEST(EnergyWindows, SamplesAreEmittedOnMonotonicBoundaries) {
   core::RunConfig cfg = conflict_cfg();
   cfg.obs.metrics.window_cycles = 1000;
   core::TxRuntime rt(cfg);

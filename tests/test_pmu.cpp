@@ -492,7 +492,7 @@ TEST(MetricsWindowIdentity, LockBackendWindowsCarryLockSections) {
   EXPECT_GT(section_cycles, 0u);
 }
 
-TEST(Registry, MetricsDigestIsOrderInvariantAndPresentOnlyWithSeries) {
+TEST(Registry, MetricsDigestIsOrderInvariantAndPresentOnlyWithHub) {
   auto captured_series_run = [](const std::string& label, Backend b) {
     core::TxRuntime rt(window_cfg(b, 2, false));
     run_counter_workload(rt, 2);
