@@ -19,8 +19,11 @@ using tsx::check::OracleConfig;
 using tsx::check::WorkloadResult;
 using tsx::core::Backend;
 
+// The workload is a std::string, not a const char*: gtest prints a pointer
+// parameter by address, which would put an ASLR-dependent value into the
+// test names that gtest_discover_tests registers with CTest.
 class ContainerOracle
-    : public ::testing::TestWithParam<std::tuple<const char*, Backend>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, Backend>> {};
 
 TEST_P(ContainerOracle, MatchesSequentialReference) {
   const auto& [workload, backend] = GetParam();
@@ -54,7 +57,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          Backend::kTinyStm, Backend::kTl2,
                                          Backend::kLock, Backend::kCas)),
     [](const auto& inf) {
-      return std::string(std::get<0>(inf.param)) + "_" +
+      return std::get<0>(inf.param) + "_" +
              tsx::core::backend_name(std::get<1>(inf.param));
     });
 
