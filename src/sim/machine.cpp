@@ -128,34 +128,58 @@ void Machine::maybe_yield_slow() {
   if (cfg_.sched_quantum_ops > 0) {
     if (++c.ops_since_resume < cfg_.sched_quantum_ops) return;
   }
+  if (c.clock >= yield_at_) reschedule(c);
+}
+
+// A context yields when another runnable context has a clock below
+// c.clock + sched_jitter_window, or the same clock and a lower id. Both
+// depend on the others only through the lowest (clock, id) among them, and
+// for integer clocks reduce to c.clock >= yield_at_ as computed here.
+void Machine::refresh_horizon() {
+  const SimContext& c = *current_;
+  const SimContext* low = nullptr;
   for (const SimContext& other : ctxs_) {
-    if (other.id == c.id || other.finished || other.waiting) {
-      continue;
-    }
-    if (other.clock < c.clock + cfg_.sched_jitter_window ||
-        (other.clock == c.clock && other.id < c.id)) {
-      c.fiber->yield();
-      return;
-    }
+    if (&other == &c || other.finished || other.waiting) continue;
+    // ctxs_ is in id order, so a tie keeps the lower id.
+    if (!low || other.clock < low->clock) low = &other;
   }
+  const Cycles window = cfg_.sched_jitter_window;
+  if (!low) {
+    yield_at_ = ~Cycles{0};
+  } else if (window == 0) {
+    yield_at_ = low->clock + (low->id > c.id ? 1 : 0);
+  } else {
+    yield_at_ = low->clock + 1 > window ? low->clock + 1 - window : 0;
+  }
+}
+
+void Machine::switch_in(SimContext& next) {
+  current_ = &next;
+  next.ops_since_resume = 0;
+  refresh_fast_ctx();
+  refresh_horizon();
+}
+
+void Machine::reschedule(SimContext& c) {
+  SimContext* next = pick_next();
+  if (!next) {
+    // c is parked in a barrier and no context can run: run() reports the
+    // deadlock.
+    c.fiber->yield();
+    return;
+  }
+  switch_in(*next);
+  if (next != &c) c.fiber->yield_to(*next->fiber);
 }
 
 Machine::SimContext* Machine::pick_next() {
   SimContext* best = nullptr;
-  bool any_waiting = false;
   for (SimContext& c : ctxs_) {
-    if (c.finished) continue;
-    if (c.waiting) {
-      any_waiting = true;
-      continue;
-    }
+    if (c.finished || c.waiting) continue;
     if (!best || c.clock < best->clock ||
         (c.clock == best->clock && c.id < best->id)) {
       best = &c;
     }
-  }
-  if (!best && any_waiting) {
-    throw std::logic_error("barrier deadlock: all runnable contexts waiting");
   }
   // Scheduler jitter: any runnable context within the window of the clock
   // minimum may run next; the choice is a deterministic function of the
@@ -183,15 +207,21 @@ void Machine::run() {
   }
   ran_ = true;
   while (SimContext* next = pick_next()) {
-    current_ = next;
-    next->ops_since_resume = 0;
-    refresh_fast_ctx();
+    switch_in(*next);
     next->fiber->resume();
+    // Fibers hand off among themselves; control comes back here only when
+    // the running one finishes, or is parked with nothing runnable.
+    SimContext& back = *current_;
     current_ = nullptr;
     refresh_fast_ctx();
-    next->finished = next->fiber->finished();
-    if (next->finished && next->fiber->error()) {
-      std::rethrow_exception(next->fiber->error());
+    back.finished = back.fiber->finished();
+    if (back.finished && back.fiber->error()) {
+      std::rethrow_exception(back.fiber->error());
+    }
+  }
+  for (const SimContext& c : ctxs_) {
+    if (!c.finished) {
+      throw std::logic_error("barrier deadlock: all runnable contexts waiting");
     }
   }
 }
@@ -474,11 +504,12 @@ void Machine::barrier() {
       }
     }
     c.clock = std::max(c.clock, release);
+    refresh_horizon();  // the released contexts are runnable again
     maybe_yield();
     return;
   }
   c.waiting = true;
-  while (c.waiting) c.fiber->yield();
+  while (c.waiting) reschedule(c);
 }
 
 }  // namespace tsx::sim
