@@ -45,9 +45,6 @@ void StmExecutor::execute(util::FnRef<void()> body, uint32_t site) {
       hooks_.on_commit();
       return;
     } catch (const StmAborted& a) {
-      // Read the exception before the cleanup, which can yield: the C++
-      // runtime tracks caught exceptions per host thread, not per fiber, so
-      // another fiber leaving its own catch block may free this one.
       uint64_t line = a.addr == ~sim::Addr{0} ? ~0ull : sim::line_of(a.addr);
       CtxId attacker = a.owner == sim::kNoCtx ? ctx : a.owner;
       stm_.tx_abort_cleanup(ctx);
@@ -79,7 +76,6 @@ bool StmExecutor::execute_once(util::FnRef<void()> body, uint32_t site) {
     hooks_.on_commit();
     return true;
   } catch (const StmAborted& a) {
-    // Read before the cleanup can yield (see execute()).
     uint64_t line = a.addr == ~sim::Addr{0} ? ~0ull : sim::line_of(a.addr);
     CtxId attacker = a.owner == sim::kNoCtx ? ctx : a.owner;
     stm_.tx_abort_cleanup(ctx);
