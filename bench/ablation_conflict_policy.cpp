@@ -20,18 +20,22 @@ using namespace tsx::bench;
 
 namespace {
 
+// One rep of one policy: the contended eigen run and the bare retry loop.
 struct Row {
-  double wall_mcycles;
-  double abort_rate;
-  double fallback_rate;
+  double wall_mcycles = 0;
+  double abort_rate = 0;
+  double fallback_rate = 0;
+  double bare = 0;  // attempts per commit, -1 when the loop livelocked
 };
 
-Row contended_eigen(bool mutual_kill, int loops, uint64_t seed) {
+Row contended_eigen(bool mutual_kill, int loops, uint64_t seed,
+                    const std::string& obs_label) {
   core::RunConfig cfg;
   cfg.backend = core::Backend::kRtm;
   cfg.threads = 4;
   cfg.machine.seed = seed;
   cfg.machine.mutual_kill_conflicts = mutual_kill;
+  apply_settings(cfg, obs_label);
   eigenbench::EigenConfig eb;
   eb.loops = loops;
   eb.reads_mild = 0;
@@ -40,8 +44,11 @@ Row contended_eigen(bool mutual_kill, int loops, uint64_t seed) {
   eb.writes_hot = 5;
   eb.hot_bytes = 16 * 1024;
   auto r = eigenbench::run(cfg, eb);
-  return {r.report.wall_cycles / 1e6, r.report.rtm.abort_rate(),
-          r.report.rtm.fallback_rate()};
+  Row row;
+  row.wall_mcycles = r.report.wall_cycles / 1e6;
+  row.abort_rate = r.report.rtm.abort_rate();
+  row.fallback_rate = r.report.rtm.fallback_rate();
+  return row;
 }
 
 // Bare retry loop (no fallback): counts attempts needed for a fixed number
@@ -52,6 +59,7 @@ double bare_retry_attempts_per_commit(bool mutual_kill, uint64_t seed) {
   cfg.threads = 4;
   cfg.machine.seed = seed;
   cfg.machine.mutual_kill_conflicts = mutual_kill;
+  apply_settings(cfg);  // untraced: the cell traces its eigen run
   core::TxRuntime rt(cfg);
   auto& m = rt.machine();
   sim::Addr counter = rt.heap().host_alloc(8, 64);
@@ -93,17 +101,36 @@ int main(int argc, char** argv) {
                "guarantees progress); a bare retry loop can livelock");
 
   int loops = args.fast ? 60 : 150;
+  std::vector<Cell<Row>> cells;
+  for (bool mk : {false, true}) {
+    for (int rep = 0; rep < args.reps; ++rep) {
+      cells.push_back({std::string("conflict_policy:") +
+                           (mk ? "mutual-kill" : "requester-wins") + ":rep" +
+                           std::to_string(rep),
+                       9800 + static_cast<uint64_t>(rep),
+                       [=](const std::string& label) {
+                         Row r = contended_eigen(mk, loops, 9800 + rep, label);
+                         r.bare =
+                             bare_retry_attempts_per_commit(mk, 9900 + rep);
+                         return r;
+                       }});
+    }
+  }
+  std::vector<Row> rows =
+      run_cells(args, "ablation_conflict_policy", {}, cells);
+
   util::Table t({"policy", "eigen Mcycles", "abort rate", "fallback rate",
                  "bare-retry attempts/commit"});
+  size_t i = 0;
   for (bool mk : {false, true}) {
     std::vector<double> wall, ar, fb;
     double bare = 0;
     for (int rep = 0; rep < args.reps; ++rep) {
-      Row r = contended_eigen(mk, loops, 9800 + rep);
+      const Row& r = rows[i++];
       wall.push_back(r.wall_mcycles);
       ar.push_back(r.abort_rate);
       fb.push_back(r.fallback_rate);
-      bare = bare_retry_attempts_per_commit(mk, 9900 + rep);
+      bare = r.bare;
     }
     t.add_row({mk ? "mutual-kill" : "requester-wins",
                util::Table::fmt(util::mean(wall), 2),

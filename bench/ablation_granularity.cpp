@@ -21,11 +21,12 @@ struct Point {
 };
 
 Point run_false_sharing(core::Backend backend, bool packed, int iters,
-                        uint64_t seed) {
+                        uint64_t seed, const std::string& obs_label) {
   core::RunConfig cfg;
   cfg.backend = backend;
   cfg.threads = 4;
   cfg.machine.seed = seed;
+  apply_settings(cfg, obs_label);
   core::TxRuntime rt(cfg);
   // 4 words: either all in one line (packed) or one per line (spread).
   sim::Addr base = rt.heap().host_alloc(4 * 64, 64);
@@ -57,12 +58,34 @@ int main(int argc, char** argv) {
                "TinySTM does not");
 
   int iters = args.fast ? 400 : 1500;
-  util::Table t({"layout", "system", "Mcycles", "abort rate"});
+  const std::vector<core::Backend> backends = {core::Backend::kRtm,
+                                               core::Backend::kTinyStm};
+  std::vector<Cell<Point>> cells;
   for (bool packed : {false, true}) {
-    for (core::Backend b : {core::Backend::kRtm, core::Backend::kTinyStm}) {
+    for (core::Backend b : backends) {
+      for (int rep = 0; rep < args.reps; ++rep) {
+        uint64_t seed = 9500 + rep;
+        cells.push_back({std::string("granularity:") +
+                             (packed ? "packed:" : "spread:") +
+                             core::backend_name(b) + ":rep" +
+                             std::to_string(rep),
+                         seed, [=](const std::string& label) {
+                           return run_false_sharing(b, packed, iters, seed,
+                                                    label);
+                         }});
+      }
+    }
+  }
+  std::vector<Point> points =
+      run_cells(args, "ablation_granularity", {}, cells);
+
+  util::Table t({"layout", "system", "Mcycles", "abort rate"});
+  size_t i = 0;
+  for (bool packed : {false, true}) {
+    for (core::Backend b : backends) {
       std::vector<double> wall, ar;
       for (int rep = 0; rep < args.reps; ++rep) {
-        Point p = run_false_sharing(b, packed, iters, 9500 + rep);
+        const Point& p = points[i++];
         wall.push_back(p.wall_mcycles);
         ar.push_back(p.abort_rate);
       }

@@ -23,26 +23,51 @@ int main(int argc, char** argv) {
                "subscribe-in-tx (paper) vs wait-then-subscribe; lock aborts "
                "shift into other abort classes, not into free performance");
 
+  const core::LockSubscription modes[] = {
+      core::LockSubscription::kSubscribeInTx,
+      core::LockSubscription::kWaitThenSubscribe};
+  auto mode_name = [](core::LockSubscription mode) {
+    return mode == core::LockSubscription::kSubscribeInTx
+               ? "subscribe-in-tx"
+               : "wait-then-subscribe";
+  };
+  stamp::IntruderConfig app;
+  app.flows = args.fast ? 128 : 384;
+  app.max_fragments = 12;
+
+  std::vector<Cell<stamp::AppResult>> cells;
+  for (auto mode : modes) {
+    for (int rep = 0; rep < args.reps; ++rep) {
+      uint64_t seed = 9400 + rep;
+      cells.push_back({std::string("lock_subscription:") + mode_name(mode) +
+                           ":rep" + std::to_string(rep),
+                       seed, [=](const std::string& label) {
+                         core::RunConfig cfg;
+                         cfg.backend = core::Backend::kRtm;
+                         cfg.threads = 4;
+                         cfg.retry.subscription = mode;
+                         cfg.machine.seed = seed;
+                         cfg.seed = cfg.machine.seed;
+                         apply_settings(cfg, label);
+                         auto res = stamp::run_intruder(cfg, app);
+                         if (!res.valid) {
+                           throw std::runtime_error("invalid: " +
+                                                    res.validation_message);
+                         }
+                         return res;
+                       }});
+    }
+  }
+  std::vector<stamp::AppResult> results =
+      run_cells(args, "ablation_lock_subscription", {}, cells);
+
   util::Table t({"policy", "Mcycles", "abort rate", "lock-abort share",
                  "confl share", "fallback rate"});
-  for (auto mode : {core::LockSubscription::kSubscribeInTx,
-                    core::LockSubscription::kWaitThenSubscribe}) {
+  size_t i = 0;
+  for (auto mode : modes) {
     std::vector<double> time, ar, lock_share, confl_share, fb;
     for (int rep = 0; rep < args.reps; ++rep) {
-      core::RunConfig cfg;
-      cfg.backend = core::Backend::kRtm;
-      cfg.threads = 4;
-      cfg.retry.subscription = mode;
-      cfg.machine.seed = 9400 + rep;
-      cfg.seed = cfg.machine.seed;
-      stamp::IntruderConfig app;
-      app.flows = args.fast ? 128 : 384;
-      app.max_fragments = 12;
-      auto res = stamp::run_intruder(cfg, app);
-      if (!res.valid) {
-        std::cerr << "invalid: " << res.validation_message << "\n";
-        return 1;
-      }
+      const stamp::AppResult& res = results[i++];
       const htm::RtmStats& s = res.report.rtm;
       double aborts = static_cast<double>(std::max<uint64_t>(s.aborts(), 1));
       time.push_back(res.report.wall_cycles / 1e6);
@@ -54,10 +79,7 @@ int main(int argc, char** argv) {
           aborts);
       fb.push_back(s.fallback_rate());
     }
-    const char* name = mode == core::LockSubscription::kSubscribeInTx
-                           ? "subscribe-in-tx"
-                           : "wait-then-subscribe";
-    t.add_row({name, util::Table::fmt(util::mean(time), 2),
+    t.add_row({mode_name(mode), util::Table::fmt(util::mean(time), 2),
                util::Table::fmt(util::mean(ar), 3),
                util::Table::fmt(util::mean(lock_share), 3),
                util::Table::fmt(util::mean(confl_share), 3),

@@ -23,38 +23,55 @@ int main(int argc, char** argv) {
   std::vector<int> budgets = {1, 2, 4, 8, 16, 64};
   if (args.fast) budgets = {1, 8, 64};
 
+  stamp::IntruderConfig iapp;
+  iapp.flows = args.fast ? 128 : 384;
+  iapp.max_fragments = 10;
+  stamp::LabyrinthConfig lapp;
+  lapp.width = 32;
+  lapp.height = 32;
+  lapp.paths = args.fast ? 8 : 16;
+
+  std::vector<Cell<stamp::AppResult>> cells;
+  for (int budget : budgets) {
+    for (int rep = 0; rep < args.reps; ++rep) {
+      for (bool laby : {false, true}) {
+        const char* app = laby ? "labyrinth" : "intruder";
+        uint64_t seed = 9300 + rep;
+        cells.push_back(
+            {"retry_budget:" + std::to_string(budget) + ":" + app + ":rep" +
+                 std::to_string(rep),
+             seed, [=](const std::string& label) {
+               core::RunConfig cfg;
+               cfg.backend = core::Backend::kRtm;
+               cfg.threads = 4;
+               cfg.retry.max_attempts = budget;
+               cfg.machine.seed = seed;
+               cfg.seed = cfg.machine.seed;
+               apply_settings(cfg, label);
+               stamp::AppResult res = laby ? stamp::run_labyrinth(cfg, lapp)
+                                           : stamp::run_intruder(cfg, iapp);
+               if (!res.valid) {
+                 throw std::runtime_error(std::string(app) + " invalid: " +
+                                          res.validation_message);
+               }
+               return res;
+             }});
+      }
+    }
+  }
+  std::vector<stamp::AppResult> results =
+      run_cells(args, "ablation_retry_budget", {}, cells);
+
   util::Table t({"MAX_RETRIES", "intruder Mcycles", "intruder fallback rate",
                  "labyrinth Mcycles", "labyrinth fallback rate"});
+  size_t i = 0;
   for (int budget : budgets) {
-    core::RunConfig cfg;
-    cfg.backend = core::Backend::kRtm;
-    cfg.threads = 4;
-    cfg.retry.max_attempts = budget;
-
-    stamp::IntruderConfig iapp;
-    iapp.flows = args.fast ? 128 : 384;
-    iapp.max_fragments = 10;
     std::vector<double> it, ifb, lt, lfb;
     for (int rep = 0; rep < args.reps; ++rep) {
-      cfg.machine.seed = 9300 + rep;
-      cfg.seed = cfg.machine.seed;
-      auto ires = stamp::run_intruder(cfg, iapp);
-      if (!ires.valid) {
-        std::cerr << "intruder invalid: " << ires.validation_message << "\n";
-        return 1;
-      }
+      const stamp::AppResult& ires = results[i++];
       it.push_back(ires.report.wall_cycles / 1e6);
       ifb.push_back(ires.report.rtm.fallback_rate());
-
-      stamp::LabyrinthConfig lapp;
-      lapp.width = 32;
-      lapp.height = 32;
-      lapp.paths = args.fast ? 8 : 16;
-      auto lres = stamp::run_labyrinth(cfg, lapp);
-      if (!lres.valid) {
-        std::cerr << "labyrinth invalid: " << lres.validation_message << "\n";
-        return 1;
-      }
+      const stamp::AppResult& lres = results[i++];
       lt.push_back(lres.report.wall_cycles / 1e6);
       lfb.push_back(lres.report.rtm.fallback_rate());
     }

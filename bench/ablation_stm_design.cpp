@@ -41,13 +41,21 @@ int main(int argc, char** argv) {
     scenarios.push_back(s);
   }
 
+  std::vector<EigenTask> tasks;
+  for (const auto& s : scenarios) {
+    tasks.push_back({core::Backend::kTinyStm, 4, s.eb, 7000});
+    tasks.push_back({core::Backend::kTl2, 4, s.eb, 7000});
+  }
+  std::vector<EigenPoint> points =
+      eigen_points("ablation_stm_design", tasks, args);
+
   util::Table t({"scenario", "TinySTM speedup", "TL2 speedup",
                  "TinySTM aborts", "TL2 aborts", "TinySTM energy-eff",
                  "TL2 energy-eff"});
-  for (const auto& s : scenarios) {
-    EigenPoint tiny = eigen_point(core::Backend::kTinyStm, 4, s.eb, args.reps);
-    EigenPoint tl2 = eigen_point(core::Backend::kTl2, 4, s.eb, args.reps);
-    t.add_row({s.name, util::Table::fmt(tiny.speedup, 2),
+  for (size_t i = 0; i < scenarios.size(); ++i) {
+    const EigenPoint& tiny = points[2 * i];
+    const EigenPoint& tl2 = points[2 * i + 1];
+    t.add_row({scenarios[i].name, util::Table::fmt(tiny.speedup, 2),
                util::Table::fmt(tl2.speedup, 2),
                util::Table::fmt(tiny.abort_rate, 3),
                util::Table::fmt(tl2.abort_rate, 3),

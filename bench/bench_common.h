@@ -3,13 +3,14 @@
 // Every driver prints (a) the paper's reference shape, (b) a table of
 // simulated measurements, and (c) optionally CSV for post-processing.
 
-#include <cstdio>
+#include <array>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
-#include <optional>
-#include <sstream>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,8 +18,8 @@
 #include "check/checker.h"
 #include "check/history.h"
 #include "core/runtime.h"
-#include "mem/sim_heap.h"
 #include "harness/runner.h"
+#include "mem/sim_heap.h"
 #include "obs/abort_report.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
@@ -50,22 +51,12 @@ inline ObsSettings& obs_settings() {
   return s;
 }
 
-// Fills cfg.obs for a traced run registered under `label`. No-op when
-// tracing is off or the label is empty (SEQ baselines stay untraced, so the
-// exporters only see the measured runs).
-inline void apply_obs(core::RunConfig& cfg, const std::string& label) {
-  const ObsSettings& s = obs_settings();
-  if (!s.enabled() || label.empty()) return;
-  cfg.obs.enabled = true;
-  cfg.obs.metrics.window_cycles = s.metrics_window;
-  cfg.obs.label = label;
-}
-
-// --malloc-policy / --malloc-pack-sets settings, parsed into a
-// process-global (same pattern as ObsSettings) so the drivers' run-config
-// helpers can consult them without seeing BenchArgs.
+// --malloc-policy / --malloc-pack-sets settings. The process-global copy
+// holds the flags; a thread-local copy, set by HeapPolicyScope around one
+// cell, overrides them (extension_malloc_placement runs several policies in
+// one process, and sweep jobs run concurrently on host threads).
 struct HeapSettings {
-  bool set = false;  // a --malloc-policy flag was given
+  bool set = false;  // a policy was given
   mem::PlacementPolicy policy = mem::PlacementPolicy::kSizeClass;
   uint32_t color_sets = 0;  // kColored only: 0 = spread, N = pack into N sets
 };
@@ -75,63 +66,50 @@ inline HeapSettings& heap_settings() {
   return s;
 }
 
-// Per-cell placement override for sweep drivers (extension_malloc_placement
-// runs several policies in one process): HeapPolicyScope sets it around a
-// cell's run and apply_heap picks it up, beating the process-global flag.
-// Thread-local because sweep jobs run concurrently on host threads.
-struct TlsHeapPolicy {
-  bool set = false;
-  mem::PlacementPolicy policy = mem::PlacementPolicy::kSizeClass;
-  uint32_t color_sets = 0;
-};
-
-inline TlsHeapPolicy& tls_heap_policy() {
-  thread_local TlsHeapPolicy p;
+inline HeapSettings& tls_heap_policy() {
+  thread_local HeapSettings p;
   return p;
 }
 
 class HeapPolicyScope {
  public:
   HeapPolicyScope(mem::PlacementPolicy policy, uint32_t color_sets) {
-    TlsHeapPolicy& p = tls_heap_policy();
-    p.set = true;
-    p.policy = policy;
-    p.color_sets = color_sets;
+    tls_heap_policy() = {true, policy, color_sets};
   }
-  ~HeapPolicyScope() { tls_heap_policy() = TlsHeapPolicy{}; }
+  ~HeapPolicyScope() { tls_heap_policy() = HeapSettings{}; }
   HeapPolicyScope(const HeapPolicyScope&) = delete;
   HeapPolicyScope& operator=(const HeapPolicyScope&) = delete;
 };
 
-// Fills cfg.heap's placement fields: a thread-local HeapPolicyScope wins,
-// then the --malloc-policy flag; with neither, the config is untouched (so
-// default runs stay byte-identical to the pre-policy allocator).
-inline void apply_heap(core::RunConfig& cfg) {
-  const TlsHeapPolicy& tls = tls_heap_policy();
-  if (tls.set) {
-    cfg.heap.policy = tls.policy;
-    cfg.heap.color_sets = tls.color_sets;
-    return;
+// Every RunConfig built inside a sweep cell passes through here. Each run
+// gets the heap placement (a HeapPolicyScope wins over the flag; with
+// neither the config is untouched, so default runs keep the size-class
+// allocator). Only the one run a cell traces passes its label: baselines
+// pass none and stay untraced, so the exporters see the measured runs only.
+inline void apply_settings(core::RunConfig& cfg,
+                           const std::string& obs_label = "") {
+  const HeapSettings& heap =
+      tls_heap_policy().set ? tls_heap_policy() : heap_settings();
+  if (heap.set) {
+    cfg.heap.policy = heap.policy;
+    cfg.heap.color_sets = heap.color_sets;
   }
-  const HeapSettings& s = heap_settings();
-  if (!s.set) return;
-  cfg.heap.policy = s.policy;
-  cfg.heap.color_sets = s.color_sets;
+  const ObsSettings& s = obs_settings();
+  if (!s.enabled() || obs_label.empty()) return;
+  cfg.obs.enabled = true;
+  cfg.obs.metrics.window_cycles = s.metrics_window;
+  cfg.obs.label = obs_label;
 }
 
 // Parses a --malloc-policy value. "colored-spread" and "colored-pack" both
 // map to kColored; pack uses --malloc-pack-sets (default 2) as color_sets.
 inline mem::PlacementPolicy parse_malloc_policy(const std::string& name,
                                                 bool* pack) {
-  *pack = false;
+  *pack = name == "colored-pack";
   if (name == "size-class") return mem::PlacementPolicy::kSizeClass;
   if (name == "bump") return mem::PlacementPolicy::kBumpPerThread;
   if (name == "padded") return mem::PlacementPolicy::kPadded;
-  if (name == "colored-spread" || name == "colored") {
-    return mem::PlacementPolicy::kColored;
-  }
-  if (name == "colored-pack") {
-    *pack = true;
+  if (name == "colored-spread" || name == "colored" || *pack) {
     return mem::PlacementPolicy::kColored;
   }
   throw std::invalid_argument(
@@ -166,65 +144,57 @@ class ObsLabelScope {
 // observability on.
 class ObsFlusher {
  public:
-  ObsFlusher(std::string trace_file, std::string abort_report_file,
-             std::string perf_stat_file, std::string timeseries_file,
-             std::string metrics_file, std::string flamegraph_file)
-      : trace_file_(std::move(trace_file)),
-        abort_report_file_(std::move(abort_report_file)),
-        perf_stat_file_(std::move(perf_stat_file)),
-        timeseries_file_(std::move(timeseries_file)),
-        metrics_file_(std::move(metrics_file)),
-        flamegraph_file_(std::move(flamegraph_file)) {}
+  // Destinations of the trace, abort report, perf stat, time series,
+  // metrics and flame profile: "" = off, "-" = stderr, else a file path.
+  explicit ObsFlusher(std::array<std::string, 6> dests)
+      : dests_(std::move(dests)) {}
   ~ObsFlusher() {
+    using Write = void (*)(std::ostream&, const std::vector<obs::Capture>&);
     std::vector<obs::Capture> caps = obs::Registry::global().drain();
-    // "" = exporter off, "-" = stderr, else a file path.
-    auto flush = [&caps](const std::string& dest, const char* what,
-                         void (*write)(std::ostream&,
-                                       const std::vector<obs::Capture>&)) {
-      if (dest.empty()) return;
+    const std::pair<std::string, Write> exporters[] = {
+        {std::to_string(caps.size()) + " capture(s)", &obs::write_chrome_trace},
+        {"abort report", &obs::write_abort_report},
+        {"perf stat", &obs::write_perf_stat},
+        {"time series", &obs::write_timeseries_csv},
+        {"metrics", &obs::write_openmetrics},
+        {"flame profile", &obs::write_flamegraph}};
+    for (size_t i = 0; i < dests_.size(); ++i) {
+      const std::string& dest = dests_[i];
+      const auto& [what, write] = exporters[i];
+      if (dest.empty()) continue;
       if (dest == "-") {
         write(std::cerr, caps);
-        return;
+        continue;
       }
       std::ofstream out(dest);
       if (!out) {
         std::cerr << "[obs] cannot write " << what << " to '" << dest << "'\n";
-        return;
+        continue;
       }
       write(out, caps);
       std::cerr << "[obs] wrote " << what << " to " << dest << "\n";
-    };
-    if (!trace_file_.empty()) {
-      std::ofstream out(trace_file_);
-      if (!out) {
-        std::cerr << "[obs] cannot write trace to '" << trace_file_ << "'\n";
-      } else {
-        obs::write_chrome_trace(out, caps);
-        std::cerr << "[obs] wrote " << caps.size() << " capture(s) to "
-                  << trace_file_ << "\n";
-      }
     }
-    flush(abort_report_file_, "abort report", &obs::write_abort_report);
-    flush(perf_stat_file_, "perf stat", &obs::write_perf_stat);
-    flush(timeseries_file_, "time series", &obs::write_timeseries_csv);
-    flush(metrics_file_, "metrics", &obs::write_openmetrics);
-    flush(flamegraph_file_, "flame profile", &obs::write_flamegraph);
   }
 
  private:
-  std::string trace_file_;
-  std::string abort_report_file_;
-  std::string perf_stat_file_;
-  std::string timeseries_file_;
-  std::string metrics_file_;
-  std::string flamegraph_file_;
+  std::array<std::string, 6> dests_;
+};
+
+// The flags only some drivers read. A driver names the ones it reads when
+// it parses its arguments; every other driver rejects them as unknown.
+struct DriverFlags {
+  // --verify: record every simulated access and check each run for
+  // serializability via src/check (slower, opt-in).
+  bool verify = false;
+  // --energy-split: extra committed/wasted energy columns; the default
+  // columns stay byte-identical.
+  bool energy_split = false;
 };
 
 // Standard bench flags: --reps (seeds averaged), --csv, --fast (smaller
-// workloads for smoke runs), --verify (record every simulated access and
-// check each run for serializability via src/check — slower, opt-in),
-// --jobs N (host threads for the sweep harness; 0/default = all cores,
-// 1 = the exact serial path; stdout is byte-identical for every N),
+// workloads for smoke runs), --jobs N (host threads for the sweep harness;
+// 0/default = all cores, 1 = the exact serial path; stdout is
+// byte-identical for every N),
 // --manifest[=FILE] (JSON run manifest to FILE, or stderr when bare),
 // --trace[=FILE] (Chrome trace-event JSON of every measured run, default
 // trace.json; load in Perfetto / chrome://tracing), --abort-report[=FILE]
@@ -238,9 +208,7 @@ class ObsFlusher {
 // speedscope), --metrics-window=CYCLES (the one window length: window
 // deltas, the boundary snapshots behind --timeseries and the trace's
 // counter tracks; defaults to 10000 when --metrics, --flamegraph or
-// --timeseries is given), --energy-split (extra committed/wasted energy
-// columns in the energy drivers' CSV output; default output stays
-// byte-identical),
+// --timeseries is given),
 // --progress[=BOOL] (force sweep progress lines on/off; default: only when
 // stderr is a TTY, see harness::RunnerOptions::assume_tty),
 // --malloc-policy=NAME (simulated-heap placement policy for every measured
@@ -254,51 +222,45 @@ struct BenchArgs {
   bool verify = false;
   int jobs = 0;
   std::string manifest;
-  std::string trace;        // resolved trace file; "" = tracing off
-  std::string abort_report; // "" = off, "-" = stderr, else file path
-  std::string perf_stat;    // "" = off, "-" = stderr, else file path
-  std::string timeseries;   // resolved CSV file; "" = off
-  std::string metrics;      // OpenMetrics file; "" = off, "-" = stderr
-  std::string flamegraph;   // collapsed-stack file; "" = off, "-" = stderr
-  core::Cycles metrics_window = 0;  // resolved window; 0 = whole run
   bool energy_split = false;
   int progress = -1;        // -1 auto (isatty), 0 off, 1 on
   // Keeps the exporters alive until the last BenchArgs copy dies.
   std::shared_ptr<ObsFlusher> obs_flusher;
 
   // Exits 2 with a message on stderr for any usage error (malformed value,
-  // duplicate/unknown flag, stray positional) — drivers never see a throw.
-  static BenchArgs parse(int argc, char** argv) {
+  // duplicate/unknown flag, stray positional, a driver-specific flag the
+  // driver does not read) — drivers never see a throw.
+  static BenchArgs parse(int argc, char** argv, DriverFlags reads = {}) {
     try {
       util::Flags flags(argc, argv);
       BenchArgs a;
       a.reps = static_cast<int>(flags.get_int("reps", 2));
       a.csv = flags.get_bool("csv", false);
       a.fast = flags.get_bool("fast", false);
-      a.verify = flags.get_bool("verify", false);
+      if (reads.verify) a.verify = flags.get_bool("verify", false);
       a.jobs = static_cast<int>(flags.get_int("jobs", 0));
       if (a.jobs < 0) throw std::invalid_argument("--jobs must be >= 0");
       a.manifest = flags.get_string("manifest", "");
-      a.trace = flags.get_string("trace", "");
-      if (a.trace == "true") a.trace = "trace.json";  // bare --trace
-      a.abort_report = flags.get_string("abort-report", "");
-      if (a.abort_report == "true") a.abort_report = "-";  // bare form
-      a.perf_stat = flags.get_string("perf-stat", "");
-      if (a.perf_stat == "true") a.perf_stat = "-";  // bare --perf-stat
-      a.timeseries = flags.get_string("timeseries", "");
-      if (a.timeseries == "true") a.timeseries = "timeseries.csv";
-      a.metrics = flags.get_string("metrics", "");
-      if (a.metrics == "true") a.metrics = "metrics.prom";
-      a.flamegraph = flags.get_string("flamegraph", "");
-      if (a.flamegraph == "true") a.flamegraph = "flamegraph.folded";
+      // Exporter destinations, in ObsFlusher order; a bare flag picks the
+      // exporter's default file, or stderr ("-") for the reports.
+      auto dest = [&flags](const char* flag, const char* bare) {
+        std::string d = flags.get_string(flag, "");
+        return d == "true" ? std::string(bare) : d;
+      };
+      std::array<std::string, 6> dests = {
+          dest("trace", "trace.json"), dest("abort-report", "-"),
+          dest("perf-stat", "-"), dest("timeseries", "timeseries.csv"),
+          dest("metrics", "metrics.prom"),
+          dest("flamegraph", "flamegraph.folded")};
       int64_t mw = flags.get_int("metrics-window", 0);
       if (mw < 0) throw std::invalid_argument("--metrics-window must be >= 0");
-      if (mw == 0 && (!a.metrics.empty() || !a.flamegraph.empty() ||
-                      !a.timeseries.empty())) {
+      if (mw == 0 &&
+          (!dests[3].empty() || !dests[4].empty() || !dests[5].empty())) {
         mw = 10000;  // window exports requested: a sane default window
       }
-      a.metrics_window = static_cast<core::Cycles>(mw);
-      a.energy_split = flags.get_bool("energy-split", false);
+      if (reads.energy_split) {
+        a.energy_split = flags.get_bool("energy-split", false);
+      }
       a.progress = flags.has("progress")
                        ? (flags.get_bool("progress", true) ? 1 : 0)
                        : -1;
@@ -315,18 +277,6 @@ struct BenchArgs {
         hs.policy = pol;
         hs.color_sets = pack ? static_cast<uint32_t>(pack_sets) : 0;
       }
-      ObsSettings& s = obs_settings();
-      s.trace = !a.trace.empty();
-      s.abort_report = !a.abort_report.empty();
-      s.perf_stat = !a.perf_stat.empty();
-      s.timeseries = !a.timeseries.empty();
-      s.metrics = !a.metrics.empty() || !a.flamegraph.empty();
-      s.metrics_window = a.metrics_window;
-      if (s.enabled()) {
-        a.obs_flusher = std::make_shared<ObsFlusher>(
-            a.trace, a.abort_report, a.perf_stat, a.timeseries, a.metrics,
-            a.flamegraph);
-      }
       auto un = flags.unconsumed();
       if (!un.empty()) {
         std::string msg = un.size() == 1 ? "unknown flag " : "unknown flags ";
@@ -341,6 +291,14 @@ struct BenchArgs {
         throw std::invalid_argument("unexpected argument '" + pos[0] +
                                     "' (benches take no positional arguments)");
       }
+      ObsSettings& s = obs_settings();
+      s.trace = !dests[0].empty();
+      s.abort_report = !dests[1].empty();
+      s.perf_stat = !dests[2].empty();
+      s.timeseries = !dests[3].empty();
+      s.metrics = !dests[4].empty() || !dests[5].empty();
+      s.metrics_window = static_cast<core::Cycles>(mw);
+      if (s.enabled()) a.obs_flusher = std::make_shared<ObsFlusher>(dests);
       return a;
     } catch (const std::invalid_argument& e) {
       std::cerr << argv[0] << ": " << e.what() << "\n";
@@ -351,6 +309,9 @@ struct BenchArgs {
 
 // Builds the Runner options for a driver's sweep: thread count and manifest
 // destination from the flags, bench id and config digest from the driver.
+// With obs on, the manifest also carries the registry's counter digests and
+// lock/heap totals (label-sorted and non-destructive, hence --jobs-invariant;
+// the flusher still drains the captures afterwards).
 inline harness::RunnerOptions runner_options(const BenchArgs& args,
                                              const std::string& bench_id,
                                              uint64_t config_digest) {
@@ -361,75 +322,68 @@ inline harness::RunnerOptions runner_options(const BenchArgs& args,
   opt.manifest = args.manifest;
   opt.assume_tty = args.progress;
   if (obs_settings().enabled()) {
-    // PMU-counter fingerprint for the manifest; the registry hash is
-    // label-sorted and non-destructive, so it is --jobs-invariant and the
-    // flusher can still drain the captures afterwards.
-    opt.counter_digest_fn = [] {
-      char hex[19];
-      std::snprintf(hex, sizeof(hex), "0x%016llx",
-                    static_cast<unsigned long long>(
-                        obs::Registry::global().counter_digest()));
-      return std::string(hex);
-    };
-    // Window-series fingerprint (window deltas + phase events + flame
-    // edges). Absent when no capture carries a series (no window);
-    // label-sorted in the registry, so --jobs-invariant like counter_digest.
-    opt.metrics_digest_fn = [] {
-      std::optional<uint64_t> d = obs::Registry::global().metrics_digest();
-      if (!d) return std::string();
-      char hex[19];
-      std::snprintf(hex, sizeof(hex), "0x%016llx",
-                    static_cast<unsigned long long>(*d));
-      return std::string(hex);
-    };
-    // Per-lock elision counters, aggregated by lock name across the sweep's
-    // captures (name-sorted and non-destructive, hence --jobs-invariant).
-    // Empty — and the manifest field absent — for benches without elide
-    // locks.
-    opt.elide_locks_fn = [] {
-      std::vector<obs::ElideLockCounters> locks =
-          obs::Registry::global().elide_totals();
-      if (locks.empty()) return std::string();
-      std::ostringstream os;
-      os << "[";
-      for (size_t i = 0; i < locks.size(); ++i) {
-        const obs::ElideLockCounters& e = locks[i];
-        os << (i ? ", " : "") << "{\"name\": \"" << e.name
-           << "\", \"acquisitions\": " << e.acquisitions
-           << ", \"attempts\": " << e.attempts << ", \"elided\": " << e.elided
-           << ", \"fallbacks\": " << e.fallbacks
-           << ", \"lock_acquires\": " << e.lock_acquires
-           << ", \"self_stops\": " << e.self_stops << "}";
-      }
-      os << "]";
-      return os.str();
-    };
-    // Summed simulated-heap counters for the manifest's "heap" object
-    // (label-sorted aggregation in the registry, hence --jobs-invariant).
-    opt.heap_fn = [] {
-      obs::HeapPmuCounters h = obs::Registry::global().heap_totals();
-      if (!h.present) return std::string();
-      std::ostringstream os;
-      os << "{\"policy\": \"" << h.policy << "\", \"allocs\": " << h.allocs
-         << ", \"frees\": " << h.frees << ", \"refills\": " << h.refills
-         << ", \"bytes_live\": " << h.bytes_live
-         << ", \"bytes_peak\": " << h.bytes_peak
-         << ", \"bytes_padding\": " << h.bytes_padding
-         << ", \"set_allocs\": [";
-      for (size_t i = 0; i < h.set_allocs.size(); ++i) {
-        os << (i ? ", " : "") << h.set_allocs[i];
-      }
-      os << "]}";
-      return os.str();
+    opt.manifest_members_fn = [](std::ostream& os) {
+      obs::Registry::global().write_manifest_members(os);
     };
   }
   return opt;
 }
 
+// One cell of a driver's sweep: `label` names it in the manifest and is the
+// obs label of the one run it traces, `seed` is recorded in the manifest,
+// and `run` computes the cell's result from its label.
+template <typename T>
+struct Cell {
+  std::string label;
+  uint64_t seed = 0;
+  std::function<T(const std::string& label)> run;
+};
+
+// The one way a driver runs its simulations: every cell through
+// harness::Runner (--jobs, --manifest, --progress), results in cell order.
+// Aggregating them in that order keeps stdout byte-identical for any --jobs.
+// The manifest's config digest is `config` plus --fast and every cell label,
+// so a driver adds only the parameters its labels do not show. Labels must
+// be unique — the registry sorts captures by label, so two cells sharing
+// one would leave the exporters' order to the host schedule — and a
+// duplicate throws std::invalid_argument before any cell runs. A failed
+// cell (a validation error, a --verify violation) prints the lowest-indexed
+// failure and exits 1.
+template <typename T>
+std::vector<T> run_cells(const BenchArgs& args, const std::string& bench_id,
+                         harness::Digest config,
+                         const std::vector<Cell<T>>& cells) {
+  std::set<std::string> labels;
+  config.add(args.fast);
+  for (const Cell<T>& c : cells) {
+    if (!labels.insert(c.label).second) {
+      throw std::invalid_argument(bench_id + ": duplicate cell label '" +
+                                  c.label + "'");
+    }
+    config.add(c.label);
+  }
+  harness::Runner runner(runner_options(args, bench_id, config.value()));
+  try {
+    return runner.map<T>(
+        cells.size(),
+        [&cells](size_t i) { return cells[i].run(cells[i].label); },
+        [&cells](size_t i) {
+          harness::Job j;
+          j.seed = cells[i].seed;
+          j.label = cells[i].label;
+          return j;
+        });
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(1);
+  }
+}
+
 // Opt-in history verification for benches that own their TxRuntime:
-// construct (with args.verify) before rt.run(), call check() after. On a
-// serializability violation the bench exits non-zero with a diagnosis —
-// measurements from a non-serializable run would be meaningless.
+// construct (with args.verify) before rt.run(), call check() after. A
+// serializability violation throws with a diagnosis, which fails the cell
+// (run_cells exits 1) — measurements from a non-serializable run would be
+// meaningless.
 class HistoryVerifier {
  public:
   HistoryVerifier(core::TxRuntime& rt, bool enabled) : rt_(&rt) {
@@ -440,8 +394,7 @@ class HistoryVerifier {
     if (!rec_) return;
     check::CheckResult cr = check::check_history(rec_->history(), *rt_);
     if (!cr.ok) {
-      std::cerr << "--verify FAILED (" << what << "): " << cr.error << "\n";
-      std::exit(1);
+      throw std::runtime_error("--verify FAILED (" + what + "): " + cr.error);
     }
   }
 

@@ -16,7 +16,8 @@ namespace tsx::bench {
 struct EigenPoint {
   double speedup = 0;
   double energy_eff = 0;
-  double abort_rate = 0;
+  double abort_rate = 0;     // hardware aborts for the HTM backends
+  double fallback_rate = 0;  // fallbacks per transaction (RTM, Hybrid)
 };
 
 inline core::RunConfig eigen_run_cfg(core::Backend b, uint32_t threads,
@@ -35,10 +36,12 @@ inline core::RunConfig eigen_run_cfg(core::Backend b, uint32_t threads,
 // each call builds its own TxRuntime/Machine pair and shares nothing.
 inline EigenPoint eigen_rep(core::Backend backend, uint32_t threads,
                             const eigenbench::EigenConfig& eb, uint64_t seed,
-                            const std::string& obs_label = "") {
-  auto seq = eigenbench::run(eigen_run_cfg(core::Backend::kSeq, 1, seed), eb);
+                            const std::string& obs_label) {
+  core::RunConfig seq_cfg = eigen_run_cfg(core::Backend::kSeq, 1, seed);
+  apply_settings(seq_cfg);  // the baseline stays untraced
+  auto seq = eigenbench::run(seq_cfg, eb);
   core::RunConfig cfg = eigen_run_cfg(backend, threads, seed);
-  apply_obs(cfg, obs_label);  // SEQ baseline above stays untraced
+  apply_settings(cfg, obs_label);
   auto run = eigenbench::run(cfg, eb);
   // The parallel run does `threads` times the sequential per-thread work,
   // so speedup = threads * t_seq / t_par (the paper normalizes to the
@@ -48,25 +51,10 @@ inline EigenPoint eigen_rep(core::Backend backend, uint32_t threads,
   p.speedup = work_ratio * static_cast<double>(seq.report.wall_cycles) /
               static_cast<double>(run.report.wall_cycles);
   p.energy_eff = work_ratio * seq.report.joules() / run.report.joules();
-  p.abort_rate = backend == core::Backend::kRtm ? run.report.rtm.abort_rate()
-                                                : run.report.stm.abort_rate();
+  p.abort_rate = core::backend_is_stm(backend) ? run.report.stm.abort_rate()
+                                               : run.report.rtm.abort_rate();
+  p.fallback_rate = run.report.rtm.fallback_rate();
   return p;
-}
-
-// Runs `eb` under `backend`/`threads` and under SEQ/1-thread with the same
-// per-thread workload, averaged over `reps` seeds (serial; the sweep
-// drivers go through eigen_points instead).
-inline EigenPoint eigen_point(core::Backend backend, uint32_t threads,
-                              const eigenbench::EigenConfig& eb, int reps,
-                              uint64_t seed0 = 7000) {
-  std::vector<double> sp, ee, ar;
-  for (int rep = 0; rep < reps; ++rep) {
-    EigenPoint p = eigen_rep(backend, threads, eb, seed0 + rep);
-    sp.push_back(p.speedup);
-    ee.push_back(p.energy_eff);
-    ar.push_back(p.abort_rate);
-  }
-  return {util::mean(sp), util::mean(ee), util::mean(ar)};
 }
 
 // One cell of a figure's sweep grid: a backend/thread-count to measure under
@@ -107,44 +95,33 @@ inline std::vector<EigenPoint> eigen_points(const std::string& bench_id,
                                             const BenchArgs& args) {
   const size_t reps = static_cast<size_t>(args.reps);
   harness::Digest dig;
-  dig.add(static_cast<uint64_t>(reps));
   for (const EigenTask& t : tasks) digest_eigen_task(dig, t);
 
-  // One label per job, shared between the manifest and the trace capture —
-  // the registry drains sorted by label, so exporter output is identical
-  // for any --jobs value.
-  auto label_of = [&](size_t i) {
+  std::vector<Cell<EigenPoint>> cells;
+  for (size_t i = 0; i < tasks.size() * reps; ++i) {
     const EigenTask& t = tasks[i / reps];
-    return bench_id + ":task" + std::to_string(i / reps) + ":" +
-           core::backend_name(t.backend) + ":rep" + std::to_string(i % reps);
-  };
-
-  harness::Runner runner(runner_options(args, bench_id, dig.value()));
-  std::vector<EigenPoint> samples = runner.map<EigenPoint>(
-      tasks.size() * reps,
-      [&](size_t i) {
-        const EigenTask& t = tasks[i / reps];
-        return eigen_rep(t.backend, t.threads, t.eb, t.seed0 + i % reps,
-                         label_of(i));
-      },
-      [&](size_t i) {
-        const EigenTask& t = tasks[i / reps];
-        harness::Job j;
-        j.seed = t.seed0 + i % reps;
-        j.label = label_of(i);
-        return j;
-      });
+    const uint64_t seed = t.seed0 + i % reps;
+    cells.push_back({bench_id + ":task" + std::to_string(i / reps) + ":" +
+                         core::backend_name(t.backend) + ":rep" +
+                         std::to_string(i % reps),
+                     seed, [&t, seed](const std::string& label) {
+                       return eigen_rep(t.backend, t.threads, t.eb, seed,
+                                        label);
+                     }});
+  }
+  std::vector<EigenPoint> samples = run_cells(args, bench_id, dig, cells);
 
   std::vector<EigenPoint> out(tasks.size());
   for (size_t t = 0; t < tasks.size(); ++t) {
-    std::vector<double> sp, ee, ar;
+    std::vector<double> sp, ee, ar, fb;
     for (size_t rep = 0; rep < reps; ++rep) {
       const EigenPoint& p = samples[t * reps + rep];
       sp.push_back(p.speedup);
       ee.push_back(p.energy_eff);
       ar.push_back(p.abort_rate);
+      fb.push_back(p.fallback_rate);
     }
-    out[t] = {util::mean(sp), util::mean(ee), util::mean(ar)};
+    out[t] = {util::mean(sp), util::mean(ee), util::mean(ar), util::mean(fb)};
   }
   return out;
 }

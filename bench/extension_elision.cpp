@@ -54,7 +54,7 @@ CellOut run_cell(Mode mode, uint32_t threads, uint32_t loops, int rep,
   cfg.threads = threads;
   cfg.machine.seed = 9100 + static_cast<uint64_t>(rep);
   cfg.seed = 77 + static_cast<uint64_t>(rep);
-  bench::apply_obs(cfg, obs_label);
+  bench::apply_settings(cfg, obs_label);
   core::TxRuntime rt(cfg);
 
   // Precomputed per-(thread, section) address schedule, so every mode and
@@ -125,46 +125,23 @@ int main(int argc, char** argv) {
   const std::vector<Mode> modes = {Mode::kElided, Mode::kRawLock,
                                    Mode::kRawTx};
 
-  struct Cell {
-    Mode mode;
-    uint32_t threads;
-    int rep;
-  };
-  std::vector<Cell> grid;
-  for (uint32_t t : thread_counts) {
-    for (Mode m : modes) {
-      for (int rep = 0; rep < args.reps; ++rep) grid.push_back({m, t, rep});
-    }
-  }
-
   harness::Digest dig;
   dig.add(static_cast<uint64_t>(loops));
-  dig.add(static_cast<uint64_t>(args.reps));
-  for (const Cell& c : grid) {
-    dig.add(static_cast<uint64_t>(c.mode));
-    dig.add(c.threads);
+  std::vector<bench::Cell<CellOut>> grid;
+  for (uint32_t t : thread_counts) {
+    for (Mode m : modes) {
+      for (int rep = 0; rep < args.reps; ++rep) {
+        grid.push_back({std::string("elide:") + mode_name(m) + ":t" +
+                            std::to_string(t) + ":rep" + std::to_string(rep),
+                        9100 + static_cast<uint64_t>(rep),
+                        [=](const std::string& label) {
+                          return run_cell(m, t, loops, rep, label);
+                        }});
+      }
+    }
   }
-  auto label_of = [&](size_t i) {
-    const Cell& c = grid[i];
-    return std::string("elide:") + mode_name(c.mode) + ":t" +
-           std::to_string(c.threads) + ":rep" + std::to_string(c.rep);
-  };
-
-  harness::Runner runner(
-      bench::runner_options(args, "extension_elision", dig.value()));
-  std::vector<CellOut> cells = runner.map<CellOut>(
-      grid.size(),
-      [&](size_t i) {
-        const Cell& c = grid[i];
-        return run_cell(c.mode, c.threads, loops, c.rep, label_of(i));
-      },
-      [&](size_t i) {
-        const Cell& c = grid[i];
-        harness::Job j;
-        j.seed = 9100 + static_cast<uint64_t>(c.rep);
-        j.label = label_of(i);
-        return j;
-      });
+  std::vector<CellOut> cells =
+      bench::run_cells(args, "extension_elision", dig, grid);
 
   // Throughput table, aggregated in grid order (deterministic across
   // --jobs): sections per kilocycle, normalized per mode to its own

@@ -24,12 +24,13 @@ struct Point {
 // `shared_fraction`: probability a section touches the shared line instead
 // of a thread-private one.
 Point run_sections(bool use_hle, double shared_fraction, int iters,
-                   uint64_t seed, bool verify) {
+                   uint64_t seed, bool verify, const std::string& obs_label) {
   core::RunConfig cfg;
   cfg.backend = core::Backend::kSeq;
   cfg.threads = 4;
   cfg.machine.seed = seed;
   cfg.seed = seed;
+  apply_settings(cfg, obs_label);
   core::TxRuntime rt(cfg);
   auto& m = rt.machine();
   sim::Addr lock_mem = rt.heap().host_alloc(128, 64);
@@ -72,19 +73,38 @@ Point run_sections(bool use_hle, double shared_fraction, int iters,
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::parse(argc, argv);
+  BenchArgs args = BenchArgs::parse(argc, argv, {.verify = true});
   print_header("Extension", "HLE vs RTM (Algorithm 1) on elided sections",
                "HLE's single hardware retry serializes under contention; "
                "RTM's software retry budget absorbs transient conflicts");
 
   int iters = args.fast ? 300 : 1000;
+  const std::vector<double> fractions = {0.0, 0.25, 0.5, 0.75, 1.0};
+  std::vector<Cell<Point>> cells;
+  for (double f : fractions) {
+    for (int rep = 0; rep < args.reps; ++rep) {
+      for (bool hle : {true, false}) {
+        uint64_t seed = 9950 + rep;
+        cells.push_back(
+            {"hle_vs_rtm:" + util::Table::fmt(f, 2) +
+                 (hle ? ":HLE:rep" : ":RTM:rep") + std::to_string(rep),
+             seed, [=, verify = args.verify](const std::string& label) {
+               return run_sections(hle, f, iters, seed, verify, label);
+             }});
+      }
+    }
+  }
+  std::vector<Point> points =
+      run_cells(args, "extension_hle_vs_rtm", {}, cells);
+
   util::Table t({"shared fraction", "HLE Mcycles", "RTM Mcycles",
                  "HLE serializations/section", "RTM fallbacks/section"});
-  for (double f : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+  size_t i = 0;
+  for (double f : fractions) {
     std::vector<double> hw, rw, hs, rs;
     for (int rep = 0; rep < args.reps; ++rep) {
-      Point h = run_sections(true, f, iters, 9950 + rep, args.verify);
-      Point r = run_sections(false, f, iters, 9950 + rep, args.verify);
+      const Point& h = points[i++];
+      const Point& r = points[i++];
       hw.push_back(h.wall_mcycles);
       rw.push_back(r.wall_mcycles);
       hs.push_back(h.serial_rate);

@@ -33,35 +33,6 @@
 using namespace tsx;
 using namespace tsx::bench;
 
-namespace {
-
-struct HybridPoint {
-  double speedup = 0;
-  double energy_eff = 0;
-  double hw_abort_rate = 0;   // aborts per hardware attempt
-  double fallback_rate = 0;   // fallbacks per transaction (serial or STM)
-};
-
-HybridPoint point(core::Backend backend, uint32_t threads,
-                  const eigenbench::EigenConfig& eb, int reps) {
-  std::vector<double> sp, ee, ar, fb;
-  for (int rep = 0; rep < reps; ++rep) {
-    uint64_t seed = 7000 + rep;
-    auto seq =
-        eigenbench::run(eigen_run_cfg(core::Backend::kSeq, 1, seed), eb);
-    auto run = eigenbench::run(eigen_run_cfg(backend, threads, seed), eb);
-    double work_ratio = static_cast<double>(threads);
-    sp.push_back(work_ratio * static_cast<double>(seq.report.wall_cycles) /
-                 static_cast<double>(run.report.wall_cycles));
-    ee.push_back(work_ratio * seq.report.joules() / run.report.joules());
-    ar.push_back(run.report.rtm.abort_rate());
-    fb.push_back(run.report.rtm.fallback_rate());
-  }
-  return {util::mean(sp), util::mean(ee), util::mean(ar), util::mean(fb)};
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   BenchArgs args = BenchArgs::parse(argc, argv);
   print_header("Extension", "serial-fallback RTM vs Hybrid TM (HyTM)",
@@ -76,9 +47,7 @@ int main(int argc, char** argv) {
   if (args.fast) hot_bytes = {16ull << 20, 256ull << 10, 16ull << 10};
 
   const uint32_t threads = 4;
-  util::Table t({"P(conflict) word", "RTM speedup", "Hybrid speedup",
-                 "RTM energy-eff", "Hybrid energy-eff", "RTM hw-aborts",
-                 "Hybrid hw-aborts", "RTM fallbacks", "Hybrid fallbacks"});
+  std::vector<EigenTask> tasks;
   for (uint64_t hot : hot_bytes) {
     eigenbench::EigenConfig eb = paper_default_eb(args.fast ? 100 : 200);
     eb.ws_bytes = 64 * 1024;
@@ -87,21 +56,9 @@ int main(int argc, char** argv) {
     eb.reads_hot = 90;
     eb.writes_hot = 10;
     eb.hot_bytes = hot;
-
-    double p_word = eigenbench::conflict_probability(
-        threads, eb.reads_hot, eb.writes_hot, hot / 8);
-    HybridPoint rtm = point(core::Backend::kRtm, threads, eb, args.reps);
-    HybridPoint hyb = point(core::Backend::kHybrid, threads, eb, args.reps);
-    t.add_row({util::Table::fmt(p_word, 4), util::Table::fmt(rtm.speedup, 2),
-               util::Table::fmt(hyb.speedup, 2),
-               util::Table::fmt(rtm.energy_eff, 2),
-               util::Table::fmt(hyb.energy_eff, 2),
-               util::Table::fmt(rtm.hw_abort_rate, 3),
-               util::Table::fmt(hyb.hw_abort_rate, 3),
-               util::Table::fmt(rtm.fallback_rate, 3),
-               util::Table::fmt(hyb.fallback_rate, 3)});
+    tasks.push_back({core::Backend::kRtm, threads, eb, 7000});
+    tasks.push_back({core::Backend::kHybrid, threads, eb, 7000});
   }
-  emit(t, args);
 
   // Sweep 2 — capacity-driven fallbacks on disjoint data: writes per
   // transaction to the per-thread mild array. Past the L1 write capacity
@@ -110,9 +67,6 @@ int main(int argc, char** argv) {
   std::vector<uint32_t> writes_per_tx = {10, 100, 300, 600};
   if (args.fast) writes_per_tx = {10, 300, 600};
 
-  util::Table t2({"writes/tx (disjoint)", "RTM speedup", "Hybrid speedup",
-                  "RTM energy-eff", "Hybrid energy-eff", "RTM fallbacks",
-                  "Hybrid fallbacks"});
   for (uint32_t writes : writes_per_tx) {
     eigenbench::EigenConfig eb = paper_default_eb(args.fast ? 30 : 60);
     eb.ws_bytes = 1 << 20;  // spread writes over many cache sets
@@ -121,10 +75,41 @@ int main(int argc, char** argv) {
     eb.reads_hot = 0;
     eb.writes_hot = 0;
     eb.nops_in_tx = 2000;  // the work the serial lock needlessly serializes
+    tasks.push_back({core::Backend::kRtm, threads, eb, 7000});
+    tasks.push_back({core::Backend::kHybrid, threads, eb, 7000});
+  }
+  // Both sweeps in one run, so the manifest and the captures cover them all.
+  std::vector<EigenPoint> points =
+      eigen_points("extension_hybrid", tasks, args);
 
-    HybridPoint rtm = point(core::Backend::kRtm, threads, eb, args.reps);
-    HybridPoint hyb = point(core::Backend::kHybrid, threads, eb, args.reps);
-    t2.add_row({std::to_string(writes), util::Table::fmt(rtm.speedup, 2),
+  util::Table t({"P(conflict) word", "RTM speedup", "Hybrid speedup",
+                 "RTM energy-eff", "Hybrid energy-eff", "RTM hw-aborts",
+                 "Hybrid hw-aborts", "RTM fallbacks", "Hybrid fallbacks"});
+  for (size_t i = 0; i < hot_bytes.size(); ++i) {
+    const EigenPoint& rtm = points[2 * i];
+    const EigenPoint& hyb = points[2 * i + 1];
+    const eigenbench::EigenConfig& eb = tasks[2 * i].eb;
+    double p_word = eigenbench::conflict_probability(
+        threads, eb.reads_hot, eb.writes_hot, hot_bytes[i] / 8);
+    t.add_row({util::Table::fmt(p_word, 4), util::Table::fmt(rtm.speedup, 2),
+               util::Table::fmt(hyb.speedup, 2),
+               util::Table::fmt(rtm.energy_eff, 2),
+               util::Table::fmt(hyb.energy_eff, 2),
+               util::Table::fmt(rtm.abort_rate, 3),
+               util::Table::fmt(hyb.abort_rate, 3),
+               util::Table::fmt(rtm.fallback_rate, 3),
+               util::Table::fmt(hyb.fallback_rate, 3)});
+  }
+  emit(t, args);
+
+  util::Table t2({"writes/tx (disjoint)", "RTM speedup", "Hybrid speedup",
+                  "RTM energy-eff", "Hybrid energy-eff", "RTM fallbacks",
+                  "Hybrid fallbacks"});
+  for (size_t i = 0; i < writes_per_tx.size(); ++i) {
+    const EigenPoint& rtm = points[2 * (hot_bytes.size() + i)];
+    const EigenPoint& hyb = points[2 * (hot_bytes.size() + i) + 1];
+    t2.add_row({std::to_string(writes_per_tx[i]),
+                util::Table::fmt(rtm.speedup, 2),
                 util::Table::fmt(hyb.speedup, 2),
                 util::Table::fmt(rtm.energy_eff, 2),
                 util::Table::fmt(hyb.energy_eff, 2),

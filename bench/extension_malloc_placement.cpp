@@ -55,90 +55,72 @@ int main(int argc, char** argv) {
     if (a.name == "vacation" || a.name == "intruder") apps.push_back(a);
   }
 
-  struct Cell {
-    size_t app, pol;
-    uint32_t threads;
-  };
-  std::vector<Cell> cells;
-  for (size_t a = 0; a < apps.size(); ++a) {
-    for (size_t p = 0; p < policies.size(); ++p) {
-      for (uint32_t n : threads) cells.push_back({a, p, n});
+  const size_t reps = static_cast<size_t>(args.reps);
+  std::vector<Cell<StampRep>> cells;
+  for (const StampApp& app : apps) {
+    for (const PolicySpec& p : policies) {
+      for (uint32_t n : threads) {
+        for (size_t rep = 0; rep < reps; ++rep) {
+          uint64_t seed = 9300 + rep;
+          cells.push_back(
+              {"extension_malloc_placement:" + app.name + ":" + p.name + ":" +
+                   std::to_string(n) + "t:rep" + std::to_string(rep),
+               seed,
+               [&app, p, n, seed, fast = args.fast](const std::string& label) {
+                 // Per-cell policy override: the app lambda builds its
+                 // RunConfig deep inside stamp_run_cfg.
+                 HeapPolicyScope heap_scope(p.policy, p.color_sets);
+                 return stamp_rep(app, core::Backend::kRtm, n, fast, seed,
+                                  label);
+               }});
+        }
+      }
     }
   }
-
-  const size_t reps = static_cast<size_t>(args.reps);
-  harness::Digest dig;
-  dig.add(static_cast<uint64_t>(reps));
-  dig.add(static_cast<uint64_t>(args.fast));
-  for (const Cell& c : cells) {
-    dig.add(apps[c.app].name);
-    dig.add(std::string(policies[c.pol].name));
-    dig.add(c.threads);
-  }
-
-  auto label_of = [&](size_t i) {
-    const Cell& c = cells[i / reps];
-    return std::string("extension_malloc_placement:") + apps[c.app].name +
-           ":" + policies[c.pol].name + ":" + std::to_string(c.threads) +
-           "t:rep" + std::to_string(i % reps);
-  };
-
-  harness::Runner runner(
-      runner_options(args, "extension_malloc_placement", dig.value()));
-  std::vector<StampRep> samples = runner.map<StampRep>(
-      cells.size() * reps,
-      [&](size_t i) {
-        const Cell& c = cells[i / reps];
-        const PolicySpec& p = policies[c.pol];
-        // Per-cell policy override (thread-local, like ObsLabelScope): the
-        // app lambda builds its RunConfig deep inside stamp_run_cfg.
-        HeapPolicyScope heap_scope(p.policy, p.color_sets);
-        return stamp_rep(apps[c.app], core::Backend::kRtm, c.threads,
-                         args.fast, 9300 + i % reps, label_of(i));
-      },
-      [&](size_t i) {
-        harness::Job j;
-        j.seed = 9300 + i % reps;
-        j.label = label_of(i);
-        return j;
-      });
+  std::vector<StampRep> samples =
+      run_cells(args, "extension_malloc_placement", {}, cells);
 
   util::Table t({"app", "policy", "threads", "abort rate", "confl/read-cap",
                  "write-cap", "lock", "misc3", "misc5", "refills", "peak KiB",
                  "pad KiB", "max-set %"});
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    // Like the other STAMP drivers, per-cell stats come from the last rep
-    // (identical seeds => identical counters across reps).
-    const StampRep& r = samples[(i + 1) * reps - 1];
-    const htm::RtmStats& s = r.result.report.rtm;
-    const mem::HeapStats& h = r.result.report.heap;
-    double attempts = static_cast<double>(std::max<uint64_t>(s.attempts, 1));
-    auto share = [&](htm::AbortClass cls) {
-      return static_cast<double>(
-                 s.aborts_by_class[static_cast<size_t>(cls)]) /
-             attempts;
-    };
-    uint64_t placed = 0, set_max = 0;
-    for (uint64_t v : h.set_allocs) {
-      placed += v;
-      set_max = std::max(set_max, v);
+  // Like the other STAMP drivers, per-cell stats come from the last rep
+  // (identical seeds => identical counters across reps).
+  size_t last = reps - 1;
+  for (const StampApp& app : apps) {
+    for (const PolicySpec& p : policies) {
+      for (uint32_t n : threads) {
+        const StampRep& r = samples[last];
+        last += reps;
+        const htm::RtmStats& s = r.result.report.rtm;
+        const mem::HeapStats& h = r.result.report.heap;
+        double attempts =
+            static_cast<double>(std::max<uint64_t>(s.attempts, 1));
+        auto share = [&](htm::AbortClass cls) {
+          return static_cast<double>(
+                     s.aborts_by_class[static_cast<size_t>(cls)]) /
+                 attempts;
+        };
+        uint64_t placed = 0, set_max = 0;
+        for (uint64_t v : h.set_allocs) {
+          placed += v;
+          set_max = std::max(set_max, v);
+        }
+        double set_share = placed ? 100.0 * static_cast<double>(set_max) /
+                                        static_cast<double>(placed)
+                                  : 0.0;
+        t.add_row(
+            {app.name, p.name, std::to_string(n),
+             util::Table::fmt(s.abort_rate(), 3),
+             util::Table::fmt(share(htm::AbortClass::kConflictOrReadCap), 3),
+             util::Table::fmt(share(htm::AbortClass::kWriteCapacity), 3),
+             util::Table::fmt(share(htm::AbortClass::kLock), 3),
+             util::Table::fmt(share(htm::AbortClass::kMisc3), 3),
+             util::Table::fmt(share(htm::AbortClass::kMisc5), 3),
+             std::to_string(h.refills), std::to_string(h.bytes_peak / 1024),
+             std::to_string(h.bytes_padding / 1024),
+             util::Table::fmt(set_share, 1)});
+      }
     }
-    double set_share =
-        placed ? 100.0 * static_cast<double>(set_max) /
-                     static_cast<double>(placed)
-               : 0.0;
-    t.add_row({apps[c.app].name, policies[c.pol].name,
-               std::to_string(c.threads), util::Table::fmt(s.abort_rate(), 3),
-               util::Table::fmt(share(htm::AbortClass::kConflictOrReadCap), 3),
-               util::Table::fmt(share(htm::AbortClass::kWriteCapacity), 3),
-               util::Table::fmt(share(htm::AbortClass::kLock), 3),
-               util::Table::fmt(share(htm::AbortClass::kMisc3), 3),
-               util::Table::fmt(share(htm::AbortClass::kMisc5), 3),
-               std::to_string(h.refills),
-               std::to_string(h.bytes_peak / 1024),
-               std::to_string(h.bytes_padding / 1024),
-               util::Table::fmt(set_share, 1)});
   }
   emit(t, args);
   std::cout

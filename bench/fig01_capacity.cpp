@@ -15,12 +15,13 @@ namespace {
 
 // Returns the abort rate of transactions touching `lines` lines.
 double capacity_abort_rate(uint64_t lines, bool writes, int attempts_per_size,
-                           uint64_t seed) {
+                           uint64_t seed, const std::string& obs_label) {
   core::RunConfig cfg;
   cfg.backend = core::Backend::kRtm;
   cfg.threads = 1;
   cfg.machine.interrupts_enabled = false;  // isolate the capacity effect
   cfg.machine.seed = seed;
+  bench::apply_settings(cfg, obs_label);
 
   core::TxRuntime rt(cfg);
   auto& m = rt.machine();
@@ -69,13 +70,34 @@ int main(int argc, char** argv) {
   }
   int attempts = args.fast ? 3 : 5;
 
+  // One cell per (size, rep, write-only / read-only) run.
+  std::vector<bench::Cell<double>> cells;
+  for (uint64_t n : sizes) {
+    for (int rep = 0; rep < args.reps; ++rep) {
+      for (bool writes : {true, false}) {
+        // Reads beyond the L3 get slow; cap the attempt count there.
+        int a = writes || n <= 65536 ? attempts : 2;
+        uint64_t seed = (writes ? 1000 : 2000) + rep;
+        cells.push_back({std::string("fig01:") +
+                             (writes ? "write-only:" : "read-only:") +
+                             std::to_string(n) + ":rep" + std::to_string(rep),
+                         seed, [=](const std::string& label) {
+                           return capacity_abort_rate(n, writes, a, seed,
+                                                      label);
+                         }});
+      }
+    }
+  }
+  std::vector<double> rates =
+      bench::run_cells(args, "fig01_capacity", {}, cells);
+
   util::Table t({"cache blocks", "write-only abort rate", "read-only abort rate"});
+  size_t i = 0;
   for (uint64_t n : sizes) {
     double w = 0, r = 0;
     for (int rep = 0; rep < args.reps; ++rep) {
-      w += capacity_abort_rate(n, true, attempts, 1000 + rep);
-      // Reads beyond the L3 get slow; cap the attempt count there.
-      r += capacity_abort_rate(n, false, n > 65536 ? 2 : attempts, 2000 + rep);
+      w += rates[i++];
+      r += rates[i++];
     }
     t.add_row({util::Table::fmt_int(static_cast<int64_t>(n)),
                util::Table::fmt(w / args.reps, 2),

@@ -13,11 +13,12 @@ using namespace tsx;
 namespace {
 
 double duration_abort_rate(sim::Cycles target_cycles, int attempts,
-                           uint64_t seed) {
+                           uint64_t seed, const std::string& obs_label) {
   core::RunConfig cfg;
   cfg.backend = core::Backend::kRtm;
   cfg.threads = 1;
   cfg.machine.seed = seed;  // interrupts stay ENABLED: they are the subject
+  bench::apply_settings(cfg, obs_label);
   core::TxRuntime rt(cfg);
   auto& m = rt.machine();
   sim::Addr data = rt.heap().host_alloc(64, 64);
@@ -60,16 +61,29 @@ int main(int argc, char** argv) {
     durations = {1'000, 30'000, 300'000, 3'000'000, 10'000'000};
   }
 
-  util::Table t({"tx duration (cycles)", "abort rate", "expected 1-exp(-T/mean)"});
-  core::RunConfig ref_cfg;
-  double mean = ref_cfg.machine.interrupt_mean_cycles;
+  std::vector<bench::Cell<double>> cells;
   for (uint64_t d : durations) {
     // Long transactions are expensive to simulate; scale the attempt count.
     int attempts = d >= 1'000'000 ? 12 : 40;
-    double rate = 0;
     for (int rep = 0; rep < args.reps; ++rep) {
-      rate += duration_abort_rate(d, attempts, 4000 + rep);
+      uint64_t seed = 4000 + rep;
+      cells.push_back({"fig02:" + std::to_string(d) + ":rep" +
+                           std::to_string(rep),
+                       seed, [=](const std::string& label) {
+                         return duration_abort_rate(d, attempts, seed, label);
+                       }});
     }
+  }
+  std::vector<double> rates =
+      bench::run_cells(args, "fig02_duration", {}, cells);
+
+  util::Table t({"tx duration (cycles)", "abort rate", "expected 1-exp(-T/mean)"});
+  core::RunConfig ref_cfg;
+  double mean = ref_cfg.machine.interrupt_mean_cycles;
+  size_t i = 0;
+  for (uint64_t d : durations) {
+    double rate = 0;
+    for (int rep = 0; rep < args.reps; ++rep) rate += rates[i++];
     rate /= args.reps;
     double expected = 1.0 - std::exp(-static_cast<double>(d) / mean);
     t.add_row({util::Table::fmt_int(static_cast<int64_t>(d)),

@@ -12,7 +12,7 @@ using namespace tsx;
 using namespace tsx::bench;
 
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::parse(argc, argv);
+  BenchArgs args = BenchArgs::parse(argc, argv, {.energy_split = true});
   print_header("Fig. 11", "STAMP energy (normalized to sequential)",
                "lower is better; kmeans: only RTM < 1.0; labyrinth RTM grows "
                "with threads");

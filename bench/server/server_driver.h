@@ -14,7 +14,7 @@
 // — steady state, a hot-key flash crowd, a write burst — so the scoreboard
 // shows how each backend degrades, not just its steady-state average.
 //
-// Everything is wired through harness::Runner exactly like the figure
+// Everything runs through run_cells (bench_common.h) exactly like the figure
 // drivers: cells are (backend x rep), each cell owns its TxRuntime, results
 // aggregate in index order, and stdout / --perf-stat / the manifest's
 // counter_digest are byte-identical for every --jobs value.
@@ -538,7 +538,7 @@ inline core::RunConfig server_run_cfg(core::Backend b,
   cfg.threads = traffic.threads;
   cfg.machine.seed = seed;
   cfg.seed = seed;
-  apply_heap(cfg);  // --malloc-policy
+  apply_settings(cfg);  // --malloc-policy
   return cfg;
 }
 
@@ -551,7 +551,7 @@ inline CellResult run_server_rep(ServiceKind kind, core::Backend backend,
                                  bool verify_history = false,
                                  PhaseProbe* probe = nullptr) {
   core::RunConfig cfg = server_run_cfg(backend, traffic, seed);
-  apply_obs(cfg, obs_label);
+  apply_settings(cfg, obs_label);
   if (probe) {
     cfg.obs.enabled = true;
     cfg.obs.metrics.window_cycles = probe->window_cycles;
@@ -727,38 +727,27 @@ inline std::vector<BackendScore> run_server_sweep(
     const std::vector<core::Backend>& backends, const BenchArgs& args) {
   const size_t reps = static_cast<size_t>(args.reps);
   harness::Digest dig;
-  dig.add(std::string(service_name(kind)));
-  dig.add(static_cast<uint64_t>(reps));
-  for (core::Backend b : backends) dig.add(static_cast<uint64_t>(b));
   digest_traffic(dig, traffic);
 
-  auto label_of = [&](size_t i) {
-    return bench_id + ":" +
-           core::backend_name(backends[i / reps]) + ":rep" +
-           std::to_string(i % reps);
-  };
-
-  harness::Runner runner(runner_options(args, bench_id, dig.value()));
-  std::vector<CellResult> cells = runner.map<CellResult>(
-      backends.size() * reps,
-      [&](size_t i) {
-        return run_server_rep(kind, backends[i / reps], traffic,
-                              traffic.seed + i % reps, label_of(i),
-                              args.verify);
-      },
-      [&](size_t i) {
-        harness::Job j;
-        j.seed = traffic.seed + i % reps;
-        j.label = label_of(i);
-        return j;
-      });
+  std::vector<Cell<CellResult>> cells;
+  for (size_t i = 0; i < backends.size() * reps; ++i) {
+    const core::Backend b = backends[i / reps];
+    const uint64_t seed = traffic.seed + i % reps;
+    cells.push_back({bench_id + ":" + core::backend_name(b) + ":rep" +
+                         std::to_string(i % reps),
+                     seed, [&, b, seed](const std::string& label) {
+                       return run_server_rep(kind, b, traffic, seed, label,
+                                             args.verify);
+                     }});
+  }
+  std::vector<CellResult> results = run_cells(args, bench_id, dig, cells);
 
   std::vector<BackendScore> out(backends.size());
   bool overloaded = false;
   for (size_t b = 0; b < backends.size(); ++b) {
     out[b].backend = backends[b];
     for (size_t rep = 0; rep < reps; ++rep) {
-      merge_cell(out[b].sum, cells[b * reps + rep]);
+      merge_cell(out[b].sum, results[b * reps + rep]);
     }
     overloaded = overloaded || out[b].sum.overloaded;
   }

@@ -14,7 +14,7 @@ using namespace tsx::bench;
 using namespace tsx::bench::server;
 
 int main(int argc, char** argv) {
-  BenchArgs args = BenchArgs::parse(argc, argv);
+  BenchArgs args = BenchArgs::parse(argc, argv, {.verify = true});
   print_header("Server/Inventory", "open-loop inventory reservation",
                "traffic-shaped scoreboard (no paper figure; ROADMAP item 2)");
 

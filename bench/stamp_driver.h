@@ -42,11 +42,10 @@ inline core::RunConfig stamp_run_cfg(core::Backend b, uint32_t threads,
   cfg.seed = seed;
   scale_machine_for_stamp(cfg.machine);
   if (fast) cfg.stm.lock_table_entries = 1u << 16;
-  // Traced when an ObsLabelScope is active (the app lambdas build their
-  // RunConfig here, out of reach of the sweep's per-job label).
-  apply_obs(cfg, tls_obs_label());
-  // Placement policy: per-cell HeapPolicyScope, else --malloc-policy.
-  apply_heap(cfg);
+  // The app lambdas build their RunConfig here, out of reach of the cell's
+  // label and placement: the run is traced when an ObsLabelScope is active,
+  // and a HeapPolicyScope beats --malloc-policy.
+  apply_settings(cfg, tls_obs_label());
   return cfg;
 }
 
@@ -140,22 +139,18 @@ inline std::vector<StampApp> stamp_apps() {
   return apps;
 }
 
-struct StampCell {
+// One rep of one (app, backend, threads) cell: the backend run plus its
+// SEQ/1-thread baseline with the same seed. Each call owns two fresh
+// TxRuntime instances, so reps can run concurrently on host threads.
+struct StampRep {
   double norm_time = 0;    // vs sequential (non-TM) 1-thread run
   double norm_energy = 0;  // vs sequential energy
   double wasted_share = 0; // share of active energy spent in aborted work
   stamp::AppResult result;
 };
 
-// One rep of one (app, backend, threads) cell: the backend run plus its
-// SEQ/1-thread baseline with the same seed. Each call owns two fresh
-// TxRuntime instances, so reps can run concurrently on host threads.
-struct StampRep {
-  double norm_time = 0;
-  double norm_energy = 0;
-  double wasted_share = 0;
-  stamp::AppResult result;
-};
+// A cell's reps averaged (result: the last rep's).
+using StampCell = StampRep;
 
 inline StampRep stamp_rep(const StampApp& app, core::Backend backend,
                           uint32_t threads, bool fast, uint64_t seed,
@@ -179,27 +174,6 @@ inline StampRep stamp_rep(const StampApp& app, core::Backend backend,
   return r;
 }
 
-// Runs one (app, backend, threads) cell, normalized to a SEQ 1-thread run
-// with the same seed, averaged over reps (serial; the figure drivers sweep
-// whole grids through stamp_cells instead).
-inline StampCell stamp_cell(const StampApp& app, core::Backend backend,
-                            uint32_t threads, const BenchArgs& args,
-                            uint64_t seed0 = 9000) {
-  std::vector<double> nt, ne, ws;
-  StampCell cell;
-  for (int rep = 0; rep < args.reps; ++rep) {
-    StampRep r = stamp_rep(app, backend, threads, args.fast, seed0 + rep);
-    nt.push_back(r.norm_time);
-    ne.push_back(r.norm_energy);
-    ws.push_back(r.wasted_share);
-    cell.result = r.result;
-  }
-  cell.norm_time = util::mean(nt);
-  cell.norm_energy = util::mean(ne);
-  cell.wasted_share = util::mean(ws);
-  return cell;
-}
-
 // One cell of a STAMP figure's sweep grid.
 struct StampTask {
   StampApp app;
@@ -215,41 +189,21 @@ inline std::vector<StampCell> stamp_cells(const std::string& bench_id,
                                           const std::vector<StampTask>& tasks,
                                           const BenchArgs& args) {
   const size_t reps = static_cast<size_t>(args.reps);
-  harness::Digest dig;
-  dig.add(static_cast<uint64_t>(reps));
-  dig.add(static_cast<uint64_t>(args.fast));
-  for (const StampTask& t : tasks) {
-    dig.add(t.app.name);
-    dig.add(static_cast<uint64_t>(t.backend));
-    dig.add(t.threads);
-    dig.add(t.seed0);
-  }
-
-  // One label per job, shared between the manifest and the trace capture
-  // (the registry drains sorted by label — exporter output is identical
-  // for any --jobs value).
-  auto label_of = [&](size_t i) {
+  std::vector<Cell<StampRep>> cells;
+  for (size_t i = 0; i < tasks.size() * reps; ++i) {
     const StampTask& t = tasks[i / reps];
-    return bench_id + ":" + t.app.name + ":" +
-           core::backend_name(t.backend) + ":" + std::to_string(t.threads) +
-           "t:rep" + std::to_string(i % reps);
-  };
-
-  harness::Runner runner(runner_options(args, bench_id, dig.value()));
-  std::vector<StampRep> samples = runner.map<StampRep>(
-      tasks.size() * reps,
-      [&](size_t i) {
-        const StampTask& t = tasks[i / reps];
-        return stamp_rep(t.app, t.backend, t.threads, args.fast,
-                         t.seed0 + i % reps, label_of(i));
-      },
-      [&](size_t i) {
-        const StampTask& t = tasks[i / reps];
-        harness::Job j;
-        j.seed = t.seed0 + i % reps;
-        j.label = label_of(i);
-        return j;
-      });
+    const uint64_t seed = t.seed0 + i % reps;
+    cells.push_back({bench_id + ":" + t.app.name + ":" +
+                         core::backend_name(t.backend) + ":" +
+                         std::to_string(t.threads) + "t:rep" +
+                         std::to_string(i % reps),
+                     seed,
+                     [&t, seed, fast = args.fast](const std::string& label) {
+                       return stamp_rep(t.app, t.backend, t.threads, fast,
+                                        seed, label);
+                     }});
+  }
+  std::vector<StampRep> samples = run_cells(args, bench_id, {}, cells);
 
   std::vector<StampCell> out(tasks.size());
   for (size_t t = 0; t < tasks.size(); ++t) {

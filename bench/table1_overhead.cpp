@@ -28,7 +28,7 @@ double drain_cycles(Sync sync, uint32_t threads, uint64_t elements,
   cfg.backend = core::Backend::kSeq;  // synchronization is managed here
   cfg.threads = threads;
   cfg.machine.seed = seed;
-  bench::apply_obs(cfg, obs_label);
+  bench::apply_settings(cfg, obs_label);
   core::TxRuntime rt(cfg);
   auto& m = rt.machine();
 
@@ -95,56 +95,35 @@ int main(int argc, char** argv) {
       {"high", 4, 0, false},
   };
 
-  // One job per (contention row, rep, sync variant) — every drain is an
-  // independent simulation. The grid is laid out in the serial nesting
+  // One cell per (contention row, rep, sync variant) — every drain is an
+  // independent simulation. The cells are laid out in the serial nesting
   // order (row -> rep -> sync), and sums are accumulated in that same order
   // after the harness returns, so stdout is byte-identical for any --jobs.
-  struct Cell {
-    size_t row;
-    int rep;
-    Sync sync;
-    const char* sync_name;
-  };
-  std::vector<Cell> grid;
-  for (size_t r = 0; r < rows.size(); ++r) {
-    for (int rep = 0; rep < args.reps; ++rep) {
-      if (rows[r].include_none) grid.push_back({r, rep, Sync::kNone, "none"});
-      grid.push_back({r, rep, Sync::kLock, "lock"});
-      grid.push_back({r, rep, Sync::kCas, "cas"});
-      grid.push_back({r, rep, Sync::kRtm, "rtm"});
-    }
-  }
-
+  const std::pair<Sync, const char*> syncs[] = {{Sync::kNone, "none"},
+                                                {Sync::kLock, "lock"},
+                                                {Sync::kCas, "cas"},
+                                                {Sync::kRtm, "rtm"}};
   harness::Digest dig;
   dig.add(elements);
-  dig.add(static_cast<uint64_t>(args.reps));
-  for (const Cell& c : grid) {
-    dig.add(c.row);
-    dig.add(static_cast<uint64_t>(c.sync));
-    dig.add(rows[c.row].threads);
-    dig.add(rows[c.row].local_work);
+  std::vector<bench::Cell<double>> cells;
+  for (const Row& row : rows) {
+    dig.add(row.threads);
+    dig.add(row.local_work);
+    for (int rep = 0; rep < args.reps; ++rep) {
+      for (auto [sync, sync_name] : syncs) {
+        if (sync == Sync::kNone && !row.include_none) continue;
+        uint64_t seed = 5000 + static_cast<uint64_t>(rep);
+        cells.push_back({std::string("table1:") + row.name + ":" + sync_name +
+                             ":rep" + std::to_string(rep),
+                         seed, [=, &row](const std::string& label) {
+                           return drain_cycles(sync, row.threads, elements,
+                                               row.local_work, seed, label);
+                         }});
+      }
+    }
   }
-  auto label_of = [&](size_t i) {
-    const Cell& c = grid[i];
-    return std::string("table1:") + rows[c.row].name + ":" + c.sync_name +
-           ":rep" + std::to_string(c.rep);
-  };
-  harness::Runner runner(
-      bench::runner_options(args, "table1_overhead", dig.value()));
-  std::vector<double> cycles = runner.map<double>(
-      grid.size(),
-      [&](size_t i) {
-        const Cell& c = grid[i];
-        return drain_cycles(c.sync, rows[c.row].threads, elements,
-                            rows[c.row].local_work, 5000 + c.rep, label_of(i));
-      },
-      [&](size_t i) {
-        const Cell& c = grid[i];
-        harness::Job j;
-        j.seed = 5000 + static_cast<uint64_t>(c.rep);
-        j.label = label_of(i);
-        return j;
-      });
+  std::vector<double> cycles =
+      bench::run_cells(args, "table1_overhead", dig, cells);
 
   util::Table t({"contention", "None", "Lock", "CAS", "RTM"});
   {

@@ -12,21 +12,6 @@
 using namespace tsx;
 using namespace tsx::bench;
 
-namespace {
-
-core::RunConfig rtm_cfg(uint32_t threads, uint64_t seed) {
-  core::RunConfig cfg;
-  cfg.backend = core::Backend::kRtm;
-  cfg.threads = threads;
-  cfg.machine.seed = seed;
-  cfg.seed = seed;
-  scale_machine_for_stamp(cfg.machine);
-  apply_heap(cfg);  // --malloc-policy
-  return cfg;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   BenchArgs args = BenchArgs::parse(argc, argv);
   print_header("Table V", "vacation: baseline vs optimized (§V-B)",
@@ -46,46 +31,38 @@ int main(int argc, char** argv) {
   // All (version, threads, rep) runs are independent; fan them out through
   // the sweep harness in serial nesting order, then aggregate below in that
   // same order (byte-identical stdout for any --jobs).
-  const std::vector<uint32_t> thread_counts = {1, 2, 4};
-  const size_t reps = static_cast<size_t>(args.reps);
   harness::Digest dig;
   dig.add(base.relations);
   dig.add(base.customers);
   dig.add(base.reserve_pct);
-  dig.add(static_cast<uint64_t>(reps));
-  harness::Runner runner(runner_options(args, "table5_vacation", dig.value()));
-  std::vector<stamp::AppResult> results;
-  try {
-    results = runner.map<stamp::AppResult>(
-        2 * thread_counts.size() * reps,
-        [&](size_t i) {
-          bool optimized = i >= thread_counts.size() * reps;
-          size_t r = i % (thread_counts.size() * reps);
-          uint32_t threads = thread_counts[r / reps];
-          int rep = static_cast<int>(r % reps);
-          auto cfgapp = optimized ? opt : base;
-          cfgapp.sessions_per_thread = (args.fast ? 1200u : 3600u) / threads;
-          auto res = stamp::run_vacation(rtm_cfg(threads, 9200 + rep), cfgapp);
-          if (!res.valid) {
-            throw std::runtime_error("VALIDATION FAILED: " +
-                                     res.validation_message);
-          }
-          return res;
-        },
-        [&](size_t i) {
-          bool optimized = i >= thread_counts.size() * reps;
-          size_t r = i % (thread_counts.size() * reps);
-          harness::Job j;
-          j.seed = 9200 + r % reps;
-          j.label = std::string("table5:") + (optimized ? "opt" : "base") +
-                    ":" + std::to_string(thread_counts[r / reps]) + "t:rep" +
-                    std::to_string(r % reps);
-          return j;
-        });
-  } catch (const std::runtime_error& e) {
-    std::cerr << e.what() << "\n";
-    return 1;
+  std::vector<Cell<stamp::AppResult>> cells;
+  for (bool optimized : {false, true}) {
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      for (int rep = 0; rep < args.reps; ++rep) {
+        uint64_t seed = 9200 + rep;
+        cells.push_back(
+            {std::string("table5:") + (optimized ? "opt" : "base") + ":" +
+                 std::to_string(threads) + "t:rep" + std::to_string(rep),
+             seed, [&, optimized, threads, seed](const std::string& label) {
+               stamp::VacationConfig app = optimized ? opt : base;
+               app.sessions_per_thread = (args.fast ? 1200u : 3600u) / threads;
+               // RTM on the scaled STAMP machine; --fast only shrinks
+               // the input, not the (unused) STM lock table.
+               core::RunConfig cfg = stamp_run_cfg(core::Backend::kRtm,
+                                                   threads, seed, false);
+               apply_settings(cfg, label);
+               auto res = stamp::run_vacation(cfg, app);
+               if (!res.valid) {
+                 throw std::runtime_error("VALIDATION FAILED: " +
+                                          res.validation_message);
+               }
+               return res;
+             }});
+      }
+    }
   }
+  std::vector<stamp::AppResult> results =
+      run_cells(args, "table5_vacation", dig, cells);
 
   std::array<double, 3> base_time{};
   size_t job = 0;

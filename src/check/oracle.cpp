@@ -10,6 +10,7 @@
 #include "check/history.h"
 #include "core/runtime.h"
 #include "elide/elide.h"
+#include "harness/runner.h"
 #include "sim/rng.h"
 #include "stamp/lib/hashtable.h"
 #include "stamp/lib/queue.h"
@@ -23,16 +24,6 @@ using core::Backend;
 using core::RunConfig;
 using core::TxCtx;
 using core::TxRuntime;
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv(uint64_t& h, uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
 
 RunConfig make_run_config(Backend backend, const OracleConfig& cfg) {
   RunConfig rc;
@@ -133,10 +124,10 @@ WorkloadResult workload_eigen_inc(Backend backend, const OracleConfig& cfg) {
   };
 
   RunOutcome out = run_with_check(backend, cfg, setup, worker);
-  uint64_t digest = kFnvOffset;
+  harness::Digest digest;
   for (uint32_t i = 0; i < kArrayWords; ++i) {
     sim::Word v = out.rt->machine().peek(arr + i * sim::kWordBytes);
-    fnv(digest, v);
+    digest.add(v);
     if (r.ok && v != expected[i]) {
       std::ostringstream os;
       os << "lost update: word " << i << " = " << v << ", expected "
@@ -145,7 +136,7 @@ WorkloadResult workload_eigen_inc(Backend backend, const OracleConfig& cfg) {
       r.error = os.str();
     }
   }
-  r.digest = digest;
+  r.digest = digest.value();
   if (r.ok) fill_history_failure(r, out);
   return r;
 }
@@ -207,12 +198,12 @@ WorkloadResult finish_map_workload(
   // (hash chains grow in insertion order), the key/value set is not.
   std::vector<std::pair<sim::Word, sim::Word>> got = items;
   std::sort(got.begin(), got.end());
-  uint64_t digest = kFnvOffset;
+  harness::Digest digest;
   for (const auto& [k, v] : got) {
-    fnv(digest, k);
-    fnv(digest, v);
+    digest.add(k);
+    digest.add(v);
   }
-  r.digest = digest;
+  r.digest = digest.value();
   if (r.ok) {
     std::vector<std::pair<sim::Word, sim::Word>> want(ref.begin(), ref.end());
     if (got != want) {
@@ -446,10 +437,10 @@ WorkloadResult workload_elide_mutex(Backend backend, const OracleConfig& cfg) {
   };
 
   RunOutcome out = run_with_check(backend, cfg, setup, worker);
-  uint64_t digest = kFnvOffset;
+  harness::Digest digest;
   for (uint32_t i = 0; i < kArrayWords; ++i) {
     sim::Word v = out.rt->machine().peek(arr + i * sim::kWordBytes);
-    fnv(digest, v);
+    digest.add(v);
     if (r.ok && v != expected[i]) {
       std::ostringstream os;
       os << "lost update under elided lock: word " << i << " = " << v
@@ -458,7 +449,7 @@ WorkloadResult workload_elide_mutex(Backend backend, const OracleConfig& cfg) {
       r.error = os.str();
     }
   }
-  r.digest = digest;
+  r.digest = digest.value();
   if (r.ok) fill_history_failure(r, out);
   return r;
 }
@@ -526,10 +517,10 @@ WorkloadResult workload_elide_shared(Backend backend, const OracleConfig& cfg) {
   RunOutcome out = run_with_check(backend, cfg, setup, worker);
   sim::Word fx = out.rt->machine().peek(xw);
   sim::Word fy = out.rt->machine().peek(yw);
-  uint64_t digest = kFnvOffset;
-  fnv(digest, fx);
-  fnv(digest, fy);
-  r.digest = digest;
+  harness::Digest digest;
+  digest.add(fx);
+  digest.add(fy);
+  r.digest = digest.value();
   if (torn) {
     std::ostringstream os;
     os << "reader observed torn invariant: x = " << torn_x << ", y = "

@@ -146,10 +146,10 @@ class SpinLockExecutor final : public TxExecutor {
 
 class HleExecutor final : public TxExecutor {
  public:
-  HleExecutor(const ExecutorEnv& env, uint32_t elision_attempts)
+  // Stock HLE: one elision attempt, then the real acquisition.
+  explicit HleExecutor(const ExecutorEnv& env)
       : TxExecutor(env),
-        lock_(*env.machine, mem::kRuntimeRegionBase + 2 * sim::kLineBytes,
-              elision_attempts),
+        lock_(*env.machine, mem::kRuntimeRegionBase + 2 * sim::kLineBytes),
         elide_hooks_(make_scope_hooks<htm::ScopeHooks>(env, true)) {
     lock_.init();
     // Heap scoping and observer bracketing fire per elision attempt;
@@ -686,7 +686,7 @@ std::unique_ptr<TxExecutor> make_executor(const RunConfig& cfg,
                                      cfg.stm),
           cfg.stm);
     case Backend::kHle:
-      return std::make_unique<HleExecutor>(env, cfg.hle_elision_attempts);
+      return std::make_unique<HleExecutor>(env);
     case Backend::kCas:
       return std::make_unique<SpinLockExecutor<sync::TasSpinLock>>(
           env, "CAS", mem::kRuntimeRegionBase + 3 * sim::kLineBytes);

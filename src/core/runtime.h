@@ -75,9 +75,6 @@ struct RunConfig {
   stm::StmConfig stm{};
   mem::HeapConfig heap{};
   uint64_t seed = 42;  // workload-level seed (distinct from machine.seed)
-  // kHle backend: elision attempts before the real acquisition (hardware
-  // re-elides after some abort kinds; 1 models stock HLE).
-  uint32_t hle_elision_attempts = 1;
   ObsConfig obs{};
 };
 

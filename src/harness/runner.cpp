@@ -54,10 +54,10 @@ void Digest::add(const std::string& s) {
   add_u64(s.size());  // length-delimit fields
 }
 
-std::string Digest::hex() const {
+std::string Digest::hex(uint64_t v) {
   char buf[19];
   std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(h_));
+                static_cast<unsigned long long>(v));
   return buf;
 }
 
@@ -178,39 +178,13 @@ void Runner::emit_manifest(const std::vector<Job>& jobs,
   Digest d;  // FNV-1a over config digest + per-job seeds: one run fingerprint
   d.add(opt_.config_digest);
   for (const Job& j : jobs) d.add(j.seed);
-  char cfg_hex[19];
-  std::snprintf(cfg_hex, sizeof(cfg_hex), "0x%016llx",
-                static_cast<unsigned long long>(opt_.config_digest));
-
-  std::string counter_digest;
-  if (opt_.counter_digest_fn) counter_digest = opt_.counter_digest_fn();
 
   *os << "{\n"
       << "  \"bench\": \"" << json_escape(opt_.bench_id) << "\",\n"
-      << "  \"config_digest\": \"" << cfg_hex << "\",\n"
+      << "  \"config_digest\": \"" << Digest::hex(opt_.config_digest)
+      << "\",\n"
       << "  \"run_digest\": \"" << d.hex() << "\",\n";
-  if (!counter_digest.empty()) {
-    *os << "  \"counter_digest\": \"" << json_escape(counter_digest)
-        << "\",\n";
-  }
-  std::string metrics_digest;
-  if (opt_.metrics_digest_fn) metrics_digest = opt_.metrics_digest_fn();
-  if (!metrics_digest.empty()) {
-    *os << "  \"metrics_digest\": \"" << json_escape(metrics_digest)
-        << "\",\n";
-  }
-  std::string elide_locks;
-  if (opt_.elide_locks_fn) elide_locks = opt_.elide_locks_fn();
-  if (!elide_locks.empty()) {
-    // Pre-rendered JSON array of per-lock elision counters.
-    *os << "  \"elide_locks\": " << elide_locks << ",\n";
-  }
-  std::string heap;
-  if (opt_.heap_fn) heap = opt_.heap_fn();
-  if (!heap.empty()) {
-    // Pre-rendered JSON object of summed heap/placement counters.
-    *os << "  \"heap\": " << heap << ",\n";
-  }
+  if (opt_.manifest_members_fn) opt_.manifest_members_fn(*os);
   *os << "  \"jobs_flag\": " << jobs_ << ",\n"
       << "  \"total_jobs\": " << jobs.size() << ",\n"
       << "  \"wall_seconds\": " << json_fixed(wall_seconds, 6) << ",\n"

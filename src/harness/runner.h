@@ -48,7 +48,8 @@ class Digest {
   void add(double v);
   void add(const std::string& s);
   uint64_t value() const { return h_; }
-  std::string hex() const;
+  std::string hex() const { return hex(h_); }
+  static std::string hex(uint64_t v);  // "0x" + 16 lowercase hex digits
 
  private:
   void add_u64(uint64_t v);
@@ -88,25 +89,11 @@ struct RunnerOptions {
   // variable ("0" off, anything else on) overrides this; quiet overrides
   // everything. Keeps redirected logs free of throttled status lines.
   int assume_tty = -1;
-  // Optional observability-counter fingerprint, recorded in the manifest as
-  // "counter_digest". Called once, after every job has completed (so drivers
-  // can hash the obs registry's PMU counters); an empty result omits the
-  // field. Must be deterministic w.r.t. --jobs — CI diffs it.
-  std::function<std::string()> counter_digest_fn;
-  // Optional windowed-metrics fingerprint (obs::Registry::metrics_digest),
-  // recorded in the manifest as "metrics_digest". Same contract as
-  // counter_digest_fn: called once after every job completed, empty result
-  // omits the field, must be deterministic w.r.t. --jobs.
-  std::function<std::string()> metrics_digest_fn;
-  // Optional per-lock elision counters, recorded in the manifest as
-  // "elide_locks". Called once after every job completed; returns the
-  // pre-rendered JSON array value (e.g. `[{"name": "m", ...}]`) or an empty
-  // string to omit the field. Must be deterministic w.r.t. --jobs.
-  std::function<std::string()> elide_locks_fn;
-  // Optional simulated-heap counters, recorded in the manifest as "heap".
-  // Same contract as elide_locks_fn: pre-rendered JSON object value or an
-  // empty string to omit; deterministic w.r.t. --jobs.
-  std::function<std::string()> heap_fn;
+  // Optional extra manifest members (obs::Registry::write_manifest_members
+  // renders the counter digests and lock/heap totals). Called once, after
+  // every job has completed; writes zero or more `  "key": value,` lines.
+  // Must be deterministic w.r.t. --jobs — the determinism tests diff it.
+  std::function<void(std::ostream&)> manifest_members_fn;
 };
 
 class Runner {

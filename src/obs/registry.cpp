@@ -1,8 +1,10 @@
 #include "obs/registry.h"
 
 #include <algorithm>
+#include <ostream>
 
 #include "harness/runner.h"
+#include "util/json.h"
 
 namespace tsx::obs {
 
@@ -215,6 +217,41 @@ HeapPmuCounters Registry::heap_totals() const {
     }
   }
   return t;
+}
+
+void Registry::write_manifest_members(std::ostream& os) const {
+  using util::json_escape;
+  os << "  \"counter_digest\": \"" << harness::Digest::hex(counter_digest())
+     << "\",\n";
+  if (std::optional<uint64_t> d = metrics_digest()) {
+    os << "  \"metrics_digest\": \"" << harness::Digest::hex(*d) << "\",\n";
+  }
+  std::vector<ElideLockCounters> locks = elide_totals();
+  if (!locks.empty()) {
+    os << "  \"elide_locks\": [";
+    for (size_t i = 0; i < locks.size(); ++i) {
+      const ElideLockCounters& e = locks[i];
+      os << (i ? ", " : "") << "{\"name\": \"" << json_escape(e.name)
+         << "\", \"acquisitions\": " << e.acquisitions
+         << ", \"attempts\": " << e.attempts << ", \"elided\": " << e.elided
+         << ", \"fallbacks\": " << e.fallbacks
+         << ", \"lock_acquires\": " << e.lock_acquires
+         << ", \"self_stops\": " << e.self_stops << "}";
+    }
+    os << "],\n";
+  }
+  HeapPmuCounters h = heap_totals();
+  if (h.present) {
+    os << "  \"heap\": {\"policy\": \"" << json_escape(h.policy)
+       << "\", \"allocs\": " << h.allocs << ", \"frees\": " << h.frees
+       << ", \"refills\": " << h.refills << ", \"bytes_live\": " << h.bytes_live
+       << ", \"bytes_peak\": " << h.bytes_peak
+       << ", \"bytes_padding\": " << h.bytes_padding << ", \"set_allocs\": [";
+    for (size_t i = 0; i < h.set_allocs.size(); ++i) {
+      os << (i ? ", " : "") << h.set_allocs[i];
+    }
+    os << "]},\n";
+  }
 }
 
 }  // namespace tsx::obs

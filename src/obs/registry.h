@@ -8,6 +8,7 @@
 // byte-identical across --jobs values (timestamps inside a capture are
 // simulated, hence already deterministic).
 
+#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -80,6 +81,12 @@ class Registry {
   // the first). present == false when no capture has PMU data.
   // Non-destructive; used for the harness manifest's `heap` object.
   HeapPmuCounters heap_totals() const;
+
+  // The run manifest's obs members, one `  "key": value,` line each:
+  // counter_digest, then metrics_digest, elide_locks and heap when present.
+  // Strings are JSON-escaped. harness::RunnerOptions::manifest_members_fn
+  // calls it once every job has completed.
+  void write_manifest_members(std::ostream& os) const;
 
  private:
   // The captures in label order; the caller holds mu_.

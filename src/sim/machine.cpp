@@ -492,11 +492,8 @@ void Machine::barrier() {
   if (barrier_arrived_ == num_threads_) {
     // Release everyone at the last arriver's clock.
     Cycles release = barrier_clock_;
-    uint64_t gen = barrier_generation_;
     barrier_arrived_ = 0;
     barrier_clock_ = 0;
-    ++barrier_generation_;
-    (void)gen;
     for (SimContext& other : ctxs_) {
       if (other.waiting) {
         other.waiting = false;

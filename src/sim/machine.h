@@ -331,7 +331,6 @@ class Machine {
   // Barrier state.
   uint32_t barrier_arrived_ = 0;
   Cycles barrier_clock_ = 0;
-  uint64_t barrier_generation_ = 0;
 
   Rng setup_rng_;
   Rng sched_rng_;  // scheduler jitter (sched_jitter_window)

@@ -1,16 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/runtime.h"
 #include "eigenbench/eigenbench.h"
 #include "harness/runner.h"
+#include "obs/registry.h"
 
 namespace {
 
@@ -138,7 +142,7 @@ TEST(Runner, ManifestRecordsJobsAndDigest) {
   EXPECT_NE(m.find("\"total_jobs\": 3"), std::string::npos) << m;
   EXPECT_NE(m.find("\"seed\": 102"), std::string::npos) << m;
   EXPECT_NE(m.find("\"label\": \"cell1\""), std::string::npos) << m;
-  // No elide_locks_fn installed -> the key must be absent entirely.
+  // No manifest_members_fn installed -> no obs member appears.
   EXPECT_EQ(m.find("\"elide_locks\""), std::string::npos) << m;
 }
 
@@ -147,11 +151,10 @@ TEST(Runner, ManifestEmbedsElideLockCounters) {
   RunnerOptions opt = quiet(1);
   opt.bench_id = "unit_elide_manifest";
   opt.manifest_stream = &manifest;
-  opt.elide_locks_fn = [] {
-    return std::string(
-        "[{\"name\": \"m\", \"acquisitions\": 7, \"attempts\": 9, "
-        "\"elided\": 5, \"fallbacks\": 2, \"lock_acquires\": 2, "
-        "\"self_stops\": 0}]");
+  opt.manifest_members_fn = [](std::ostream& os) {
+    os << "  \"elide_locks\": [{\"name\": \"m\", \"acquisitions\": 7, "
+          "\"attempts\": 9, \"elided\": 5, \"fallbacks\": 2, "
+          "\"lock_acquires\": 2, \"self_stops\": 0}],\n";
   };
   Runner r(opt);
   std::vector<Job> js(1);
@@ -169,13 +172,129 @@ TEST(Runner, ManifestOmitsElideLocksWhenFnReturnsEmpty) {
   RunnerOptions opt = quiet(1);
   opt.bench_id = "unit_elide_manifest_empty";
   opt.manifest_stream = &manifest;
-  opt.elide_locks_fn = [] { return std::string(); };
+  opt.manifest_members_fn = [](std::ostream&) {};
   Runner r(opt);
   std::vector<Job> js(1);
   js[0].fn = [] {};
   r.run(std::move(js));
   EXPECT_EQ(manifest.str().find("\"elide_locks\""), std::string::npos)
       << manifest.str();
+}
+
+// JSON's structure, short of a parser: strings close, a closed string is
+// followed by ':', ',', '}' or ']', and brackets balance outside strings.
+// An unescaped quote inside a member value breaks the first two.
+bool json_structure_ok(const std::string& s) {
+  std::string open;
+  bool in_string = false, after_string = false;
+  for (size_t i = 0; i < s.size(); ++i) {
+    char c = s[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+        after_string = true;
+      }
+      continue;
+    }
+    if (std::isspace(static_cast<unsigned char>(c))) continue;
+    if (after_string && c != ':' && c != ',' && c != '}' && c != ']') {
+      return false;
+    }
+    after_string = false;
+    if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      open.push_back(c == '{' ? '}' : ']');
+    } else if (c == '}' || c == ']') {
+      if (open.empty() || open.back() != c) return false;
+      open.pop_back();
+    }
+  }
+  return !in_string && open.empty();
+}
+
+TEST(Runner, ManifestEscapesLockNames) {
+  tsx::obs::Registry reg;
+  tsx::obs::Capture cap;
+  cap.pmu.emplace();
+  cap.pmu->elide.emplace_back();
+  cap.pmu->elide[0].name = "shard \"7\"";
+  reg.add(std::move(cap));
+
+  std::ostringstream manifest;
+  RunnerOptions opt = quiet(1);
+  opt.manifest_stream = &manifest;
+  opt.manifest_members_fn = [&reg](std::ostream& os) {
+    reg.write_manifest_members(os);
+  };
+  Runner r(opt);
+  r.run(std::vector<Job>(1, Job{[] {}, 0, "cell"}));
+  std::string m = manifest.str();
+  EXPECT_NE(m.find(R"("name": "shard \"7\"")"), std::string::npos) << m;
+  EXPECT_TRUE(json_structure_ok(m)) << m;
+}
+
+// ---- bench::run_cells: the one sweep path of every bench driver ----
+
+tsx::bench::BenchArgs sweep_args(int jobs) {
+  tsx::bench::BenchArgs a;
+  a.jobs = jobs;
+  a.progress = 0;
+  return a;
+}
+
+// Cell i returns "cell<i>@<i>"; earlier cells finish last under a pool.
+std::vector<tsx::bench::Cell<std::string>> labelled_cells(size_t n) {
+  std::vector<tsx::bench::Cell<std::string>> cells;
+  for (size_t i = 0; i < n; ++i) {
+    cells.push_back({"cell" + std::to_string(i), 100 + i,
+                     [i, n](const std::string& label) {
+                       std::this_thread::sleep_for(
+                           std::chrono::microseconds((n - i) * 50));
+                       return label + "@" + std::to_string(i);
+                     }});
+  }
+  return cells;
+}
+
+TEST(RunCells, ResultsComeBackInCellOrder) {
+  for (int jobs : {1, 4}) {
+    std::vector<std::string> got = tsx::bench::run_cells(
+        sweep_args(jobs), "unit_cells", {}, labelled_cells(16));
+    ASSERT_EQ(got.size(), 16u);
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], "cell" + std::to_string(i) + "@" + std::to_string(i))
+          << "jobs=" << jobs;
+    }
+  }
+}
+
+TEST(RunCells, DuplicateLabelIsRejectedBeforeAnyCellRuns) {
+  std::atomic<int> ran{0};
+  std::vector<tsx::bench::Cell<int>> cells;
+  for (const char* label : {"a", "b", "a"}) {
+    cells.push_back({label, 0, [&ran](const std::string&) { return ++ran; }});
+  }
+  EXPECT_THROW(tsx::bench::run_cells(sweep_args(4), "unit_dup", {}, cells),
+               std::invalid_argument);
+  EXPECT_EQ(ran.load(), 0);
+}
+
+TEST(RunCells, ManifestListsOneJobPerCell) {
+  tsx::bench::BenchArgs args = sweep_args(4);
+  args.manifest = testing::TempDir() + "run_cells_manifest.json";
+  tsx::bench::run_cells(args, "unit_manifest_cells", {}, labelled_cells(5));
+  std::stringstream m;
+  m << std::ifstream(args.manifest).rdbuf();
+  EXPECT_NE(m.str().find("\"total_jobs\": 5,"), std::string::npos) << m.str();
+  for (size_t i = 0; i <= 5; ++i) {
+    std::string job = "{\"index\": " + std::to_string(i) +
+                      ", \"label\": \"cell" + std::to_string(i) +
+                      "\", \"seed\": " + std::to_string(100 + i) + ",";
+    EXPECT_EQ(m.str().find(job) != std::string::npos, i < 5) << m.str();
+  }
 }
 
 // Progress-line policy: redirected output (stderr not a TTY) must stay free
