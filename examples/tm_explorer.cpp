@@ -2,9 +2,10 @@
 // Dial any of the paper's seven TM characteristics (Table II) and compare
 // all five backends on the same workload.
 //
-//   ./tm_explorer --threads=4 --ws=65536 --len=100 --pollution=0.1 \
-//                 --locality=0 --hot=0 --hot-bytes=65536 --predominance=1 \
+//   ./tm_explorer --threads=4 --ws=65536 --len=100 --pollution=0.1
+//                 --locality=0 --hot=0 --hot-bytes=65536 --predominance=1
 //                 [--loops=200]
+//   (one command line, wrapped here)
 //
 // Characteristics mapping:
 //   concurrency        --threads

@@ -130,7 +130,7 @@ TxRuntime::~TxRuntime() {
   }
 }
 
-std::optional<obs::MetricsData> TxRuntime::metrics_data() {
+std::optional<obs::MetricsData> TxRuntime::metrics_data() const {
   if (!sink_ || cfg_.obs.metrics.window_cycles == 0) return std::nullopt;
   return sink_->metrics_data(ran_ ? machine_->wall() : 0);
 }

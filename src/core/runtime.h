@@ -172,17 +172,15 @@ class TxRuntime {
 
   sim::Machine& machine() { return *machine_; }
   mem::SimHeap& heap() { return *heap_; }
-  // The event fold; null unless cfg.obs.enabled. Subscribe before run()
-  // for live sealed-window callbacks — the AdaptivePolicy seam.
+  // The event fold; null unless cfg.obs.enabled.
   obs::TraceSink* trace_sink() { return sink_.get(); }
   // Finalized PMU data — counters, cycle attribution, energy split,
   // histograms. Empty unless cfg.obs.enabled; valid after run().
   std::optional<obs::PmuData> pmu_data() const;
   // Finalized window series and phase boundaries. Empty unless
   // cfg.obs.enabled and cfg.obs.metrics.window_cycles > 0; valid after
-  // run(). Non-const: finalizing seals the remaining windows (idempotent,
-  // repeatable).
-  std::optional<obs::MetricsData> metrics_data();
+  // run().
+  std::optional<obs::MetricsData> metrics_data() const;
   // The one concurrency-control executor this runtime dispatches through.
   TxExecutor& executor() { return *exec_; }
   const TxExecutor& executor() const { return *exec_; }

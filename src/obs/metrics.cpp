@@ -114,24 +114,25 @@ size_t MetricsData::snapshots() const {
   return n;
 }
 
-MetricsData TraceSink::metrics_data(sim::Cycles wall) {
-  // Pad the series to cover [0, wall) so trailing idle time is visible,
-  // then deliver any unsealed windows to live subscribers.
-  if (wall > 0) window_at(wall - 1);
-  if (!finalized_) {
-    finalized_ = true;
-    seal_through(windows_.size());
-  }
-
+MetricsData TraceSink::metrics_data(sim::Cycles wall) const {
   MetricsData d;
   d.window_cycles = window_cycles_;
   d.windows = windows_;
   d.lock_names = lock_names_;
+  // Pad the copy to cover [0, wall) so trailing idle time is visible.
+  if (wall > 0) {
+    size_t last =
+        window_cycles_ ? static_cast<size_t>((wall - 1) / window_cycles_) : 0;
+    for (size_t i = d.windows.size(); i <= last; ++i) {
+      d.windows.emplace_back().start =
+          static_cast<sim::Cycles>(i) * window_cycles_;
+    }
+  }
 
-  // Authoritative phase pass: a fresh detector streamed over the exact
-  // window series. The final window is excluded when it is partial (it
-  // covers less simulated time than the others, so its counts dip for
-  // length reasons, not workload reasons).
+  // Phase pass: a fresh detector streamed over the exact window series.
+  // The final window is excluded when it is partial (it covers less
+  // simulated time than the others, so its counts dip for length reasons,
+  // not workload reasons).
   PhaseDetector det;
   size_t n = d.windows.size();
   if (n && wall > 0 && d.windows[n - 1].start + window_cycles_ > wall) {

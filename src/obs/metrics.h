@@ -128,8 +128,8 @@ struct MetricsConfig {
 };
 
 // Online two-sided CUSUM over EWMA-standardized window signals. Streaming
-// and causal: update() sees one sealed window at a time and reports whether
-// that window crossed the decision threshold. Channels:
+// and causal: update() sees one window at a time and reports whether that
+// window crossed the decision threshold. Channels:
 //   0  activity  log1p(commits + lock sections)  — throughput shifts
 //   1  aborts    aborts / attempts              — contention shifts
 //   2  wasted    wasted / (committed + wasted)  — speculation-cost shifts

@@ -194,14 +194,17 @@ std::vector<ElideLockCounters> Registry::elide_totals() const {
 
 HeapPmuCounters Registry::heap_totals() const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Iterate label-sorted (like counter_digest) so the "first" policy and
-  // the summed counters are --jobs-invariant.
-  std::vector<const Capture*> sorted = sorted_by_label();
+  // Sums, and a policy that is either shared by every capture or "mixed",
+  // so the totals do not depend on the captures' completion order.
   HeapPmuCounters t;
-  for (const Capture* c : sorted) {
-    if (!c->pmu || !c->pmu->heap.present) continue;
-    const HeapPmuCounters& h = c->pmu->heap;
-    if (!t.present) t.policy = h.policy;
+  for (const Capture& c : captures_) {
+    if (!c.pmu || !c.pmu->heap.present) continue;
+    const HeapPmuCounters& h = c.pmu->heap;
+    if (!t.present) {
+      t.policy = h.policy;
+    } else if (t.policy != h.policy) {
+      t.policy = "mixed";
+    }
     t.present = true;
     t.allocs += h.allocs;
     t.frees += h.frees;

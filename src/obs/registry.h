@@ -75,11 +75,10 @@ class Registry {
   // manifest field only appears for windowed runs.
   std::optional<uint64_t> metrics_digest() const;
 
-  // Simulated-heap counters summed across all captures (policy from the
-  // first capture that carries one — a sweep runs one policy per process
-  // unless a driver overrides per cell, in which case the manifest reports
-  // the first). present == false when no capture has PMU data.
-  // Non-destructive; used for the harness manifest's `heap` object.
+  // Simulated-heap counters summed across all captures. The policy is the
+  // captures' shared policy, or "mixed" when a driver overrides it per cell
+  // and the captures disagree. present == false when no capture has PMU
+  // data. Non-destructive; used for the harness manifest's `heap` object.
   HeapPmuCounters heap_totals() const;
 
   // The run manifest's obs members, one `  "key": value,` line each:

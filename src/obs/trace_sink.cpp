@@ -18,8 +18,7 @@ const char* event_kind_name(EventKind k) {
 TraceSink::TraceSink(size_t capacity, sim::Cycles window_cycles)
     : cap_(capacity),
       arena_(capacity * sizeof(Event)),
-      window_cycles_(window_cycles),
-      seal_t_(window_cycles ? 2 * window_cycles : ~sim::Cycles{0}) {
+      window_cycles_(window_cycles) {
   if (capacity == 0) throw std::invalid_argument("TraceSink capacity == 0");
   ring_ = arena_.alloc_array<Event>(capacity);
 }
@@ -34,7 +33,7 @@ void TraceSink::push(const Event& e) {
   ++dropped_;
 }
 
-MetricsWindow& TraceSink::window_at(sim::Cycles t) {
+MetricsWindow& TraceSink::window(sim::Cycles t) {
   size_t idx = window_cycles_ ? static_cast<size_t>(t / window_cycles_) : 0;
   if (idx >= windows_.size()) {
     size_t old = windows_.size();
@@ -44,33 +43,6 @@ MetricsWindow& TraceSink::window_at(sim::Cycles t) {
     }
   }
   return windows_[idx];
-}
-
-MetricsWindow& TraceSink::window(sim::Cycles t) {
-  // Seal with one full window of slack: the scheduler always resumes the
-  // smallest-clock runnable context, so a context can run at most one
-  // quantum past its peers — events for window w stop arriving well before
-  // the stream's high-water mark leaves window w+1.
-  if (t >= seal_t_) {
-    seal_through(static_cast<size_t>(t / window_cycles_) - 1);
-    seal_t_ = static_cast<sim::Cycles>(sealed_ + 2) * window_cycles_;
-  }
-  return window_at(t);
-}
-
-void TraceSink::seal_through(size_t end_index) {
-  if (end_index <= sealed_) return;
-  // Materialize empty windows in the gap so subscribers see a contiguous,
-  // in-order series (an idle window is a signal too).
-  if (end_index > windows_.size()) {
-    window_at(static_cast<sim::Cycles>(end_index - 1) * window_cycles_);
-  }
-  for (; sealed_ < end_index; ++sealed_) {
-    const MetricsWindow& w = windows_[sealed_];
-    std::optional<PhaseEvent> e = live_detector_.update(w);
-    if (e) e->t = w.start;
-    for (const WindowCallback& cb : subscribers_) cb(w, e);
-  }
 }
 
 void TraceSink::set_site(sim::CtxId ctx, uint32_t site) {
@@ -236,7 +208,7 @@ void TraceSink::evict(sim::CtxId by, sim::Cycles t, int level, uint64_t line) {
 }
 
 void TraceSink::window_boundary(sim::Cycles t, const sim::MachineStats& stats) {
-  WindowEnd& end = window_at(t - 1).end.emplace();
+  WindowEnd& end = window(t - 1).end.emplace();
   end.machine = stats;
   end.fallbacks = fallbacks_;
   for (const CtxRecord& c : ctx_) {

@@ -21,9 +21,7 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -117,17 +115,6 @@ class TraceSink {
                      uint64_t attempts, sim::Cycles cycles_elided,
                      sim::Cycles cycles_wasted, bool self_stopped);
 
-  // ---- Live subscription (the AdaptivePolicy seam) ----
-  // Called once per sealed window, in window order, with the phase boundary
-  // that window triggered (if any). A window seals when the event stream's
-  // high-water mark passes the *next* window's end, leaving one window of
-  // slack for the scheduler's bounded cross-context clock skew; the rest
-  // seal at metrics_data(). Live sealing is a low-latency view of the same
-  // windows metrics_data() reports.
-  using WindowCallback = std::function<void(
-      const MetricsWindow&, const std::optional<PhaseEvent>&)>;
-  void subscribe(WindowCallback cb) { subscribers_.push_back(std::move(cb)); }
-
   // ---- Results ----
   // Closes the PMU books (pmu.cpp): per-context identity, totals from the
   // window series, energy split, the perf-stat counter list. `ctx_finish`
@@ -137,9 +124,9 @@ class TraceSink {
                    const std::vector<sim::Cycles>& ctx_finish,
                    const std::vector<sim::Cycles>& ctx_busy, double core_busy,
                    const sim::EnergyParams& energy, double freq_ghz) const;
-  // Pads the series to cover [0, wall), seals every remaining window, and
-  // runs a fresh detector over the exact series (metrics.cpp). Idempotent.
-  MetricsData metrics_data(sim::Cycles wall);
+  // A copy of the series padded to cover [0, wall), with the phase
+  // detector run over it (metrics.cpp). A pure read: repeatable.
+  MetricsData metrics_data(sim::Cycles wall) const;
 
   // ---- Inspection / export ----
   // Events oldest -> newest (at most `capacity`).
@@ -179,11 +166,8 @@ class TraceSink {
   void commit(sim::CtxId ctx, sim::Cycles t, uint8_t flags);
   void abort(sim::CtxId ctx, sim::Cycles t, sim::AbortReason reason,
              uint64_t line, sim::CtxId attacker, uint8_t flags);
-  // The window containing t, materialized on demand; event feeds go
-  // through window(), which also seals live windows behind the stream.
-  MetricsWindow& window_at(sim::Cycles t);
+  // The window containing t, materialized on demand.
   MetricsWindow& window(sim::Cycles t);
-  void seal_through(size_t end_index);  // seals windows [sealed_, end_index)
 
   size_t cap_;
   // Ring storage allocated once at full capacity from the arena (events are
@@ -207,14 +191,6 @@ class TraceSink {
   Log2Histogram tx_duration_;
   Log2Histogram abort_latency_;
   Log2Histogram retries_;
-
-  std::vector<WindowCallback> subscribers_;
-  PhaseDetector live_detector_;
-  size_t sealed_ = 0;  // windows [0, sealed_) already delivered live
-  // The first event time that seals another window: the end of window
-  // sealed_ + 1 (never, for a whole-run window).
-  sim::Cycles seal_t_;
-  bool finalized_ = false;
 };
 
 }  // namespace tsx::obs

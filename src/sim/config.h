@@ -84,12 +84,6 @@ struct MachineConfig {
   // ahead in effect order.
   uint32_t sched_quantum_ops = 0;
 
-  // TESTING ONLY: route every op through the general (slow) path, bypassing
-  // the inline fast paths. The two must be observably identical — the
-  // equivalence tests in tests/test_machine.cpp flip this and compare full
-  // stats/clock outcomes; it is never set in real runs.
-  bool disable_fast_paths = false;
-
   // Two hyper-threads sharing a core slow each other's core-bound work.
   double smt_slowdown = 1.45;
 

@@ -29,8 +29,8 @@
 // materialized, zero live transactions machine-wide, L1 hit — and is
 // op-for-op equivalent to the general path: identical stat increments in
 // identical order, identical advance() arguments, identical scheduling
-// points. MachineConfig::disable_fast_paths forces the general path so the
-// equivalence is testable.
+// points. An installed on_access hook forces the general path, which is how
+// the equivalence tests in tests/test_machine.cpp compare the two.
 
 #include <cstdint>
 #include <functional>
@@ -176,9 +176,6 @@ class Machine {
   // Per-core busy cycles for the energy model (valid after run()).
   double core_busy_cycles() const;
 
-  // Read-only view of the last abort delivered to `ctx` (testing).
-  AbortReason last_abort_reason(CtxId ctx) const { return ctxs_[ctx].tx.reason; }
-
   // Installs (or clears) the observation hooks. Safe to call between ops;
   // typically done before run() by src/check's recorder. An installed
   // on_access hook routes every data op through the general path.
@@ -249,7 +246,7 @@ class Machine {
   // are disabled; a double->uint64 cast of infinity would be UB).
   static Cycles interrupt_gate_for(double next_interrupt);
   void refresh_fast_flags() {
-    fast_ok_ = !trace_.on_access && !cfg_.disable_fast_paths;
+    fast_ok_ = !trace_.on_access;
     refresh_fast_ctx();
   }
   // Recomputes fast_ctx_. Must be called whenever one of its inputs changes:
@@ -324,7 +321,7 @@ class Machine {
   // ~0 while no other context is runnable.
   Cycles yield_at_ = ~Cycles{0};
   bool ran_ = false;
-  bool fast_ok_ = false;  // no on_access hook && fast paths enabled
+  bool fast_ok_ = false;  // no on_access hook installed
   bool smt_possible_ = false;       // num_threads_ > cfg_.cores, fixed
   Cycles lat_l1_hit_ = 0;           // cfg_.lat_issue + cfg_.lat_l1, fixed
 

@@ -17,11 +17,9 @@ const char* stm_abort_cause_name(StmAbortCause c) {
 
 void LockTable::init() {
   // The lock table is allocated and touched at library startup, before any
-  // measured region, so its pages are simply made present.
+  // measured region, so its pages are simply made present. Fresh pages are
+  // zero-filled, and 0 is every entry's initial state (unlocked, version 0).
   m_.prefault(base_, bytes());
-  for (uint64_t i = 0; i < entries_; ++i) {
-    m_.poke(base_ + i * sim::kWordBytes, 0);
-  }
 }
 
 void StmExecutor::execute(util::FnRef<void()> body, uint32_t site) {

@@ -73,7 +73,9 @@ TEST(HashTable, RandomOpsMatchReference) {
           bool ours = h.find(ctx, key, &v);
           auto it = ref.find(key);
           ASSERT_EQ(ours, it != ref.end());
-          if (ours) ASSERT_EQ(v, it->second);
+          if (ours) {
+            ASSERT_EQ(v, it->second);
+          }
         }
       }
     }

@@ -57,8 +57,8 @@ TEST_P(EigenAtomicity, IncrementsConservedUnderContention) {
 INSTANTIATE_TEST_SUITE_P(Backends, EigenAtomicity,
                          ::testing::Values(Backend::kLock, Backend::kRtm,
                                            Backend::kTinyStm, Backend::kTl2),
-                         [](const auto& info) {
-                           return core::backend_name(info.param);
+                         [](const auto& suite_info) {
+                           return core::backend_name(suite_info.param);
                          });
 
 TEST(Eigenbench, ContentionCausesAborts) {

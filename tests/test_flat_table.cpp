@@ -151,7 +151,9 @@ TEST(FlatTable, RandomizedAgainstUnorderedMap) {
         auto* p = t.find(key);
         auto it = ref.find(key);
         ASSERT_EQ(p != nullptr, it != ref.end());
-        if (p) ASSERT_EQ(*p, it->second);
+        if (p) {
+          ASSERT_EQ(*p, it->second);
+        }
       }
     }
     ASSERT_EQ(t.size(), ref.size());

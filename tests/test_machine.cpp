@@ -311,9 +311,10 @@ TEST(Machine, SmtSlowsComputePerCore) {
               cfg.smt_slowdown, 0.05);
 }
 
-// The fast/general-path equivalence contract (DESIGN.md §10): with
-// disable_fast_paths flipped, an identical workload must produce identical
-// stats, clocks, and memory — op for op.
+// The fast/general-path equivalence contract (DESIGN.md §10): with a no-op
+// access hook installed, which sends every op down the general path, an
+// identical workload must produce identical stats, clocks, and memory — op
+// for op.
 struct EquivResult {
   MachineStats stats;
   Cycles wall = 0;
@@ -321,13 +322,17 @@ struct EquivResult {
   std::vector<Word> values;
 };
 
-EquivResult run_equiv_workload(bool disable_fast, bool interrupts) {
+EquivResult run_equiv_workload(bool general_only, bool interrupts) {
   MachineConfig cfg;
   cfg.interrupts_enabled = interrupts;
   cfg.interrupt_mean_cycles = 20'000;  // several per run at this length
-  cfg.disable_fast_paths = disable_fast;
   constexpr uint32_t kThreads = 4;
   Machine m(cfg, kThreads);
+  if (general_only) {
+    TraceHooks hooks;
+    hooks.on_access = [](CtxId, Addr, Word, Word, bool, bool) {};
+    m.set_trace_hooks(std::move(hooks));
+  }
   m.prefault(0x1000, 4096);
   // 0x900000 left unfaulted: the first touches exercise the page-fault path.
   for (CtxId t = 0; t < kThreads; ++t) {
@@ -390,13 +395,13 @@ void expect_equiv(const EquivResult& fast, const EquivResult& slow) {
 }
 
 TEST(Machine, FastPathEquivalenceQuiet) {
-  expect_equiv(run_equiv_workload(/*disable_fast=*/false, /*interrupts=*/false),
-               run_equiv_workload(/*disable_fast=*/true, /*interrupts=*/false));
+  expect_equiv(run_equiv_workload(/*general_only=*/false, /*interrupts=*/false),
+               run_equiv_workload(/*general_only=*/true, /*interrupts=*/false));
 }
 
 TEST(Machine, FastPathEquivalenceWithInterrupts) {
-  expect_equiv(run_equiv_workload(/*disable_fast=*/false, /*interrupts=*/true),
-               run_equiv_workload(/*disable_fast=*/true, /*interrupts=*/true));
+  expect_equiv(run_equiv_workload(/*general_only=*/false, /*interrupts=*/true),
+               run_equiv_workload(/*general_only=*/true, /*interrupts=*/true));
 }
 
 // The schedule pin: under every combination of the scheduler knobs, a small

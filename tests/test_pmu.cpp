@@ -208,8 +208,8 @@ TEST_P(PmuIdentity, HoldsUnderInterruptForcedAborts) {
 INSTANTIATE_TEST_SUITE_P(Backends, PmuIdentity,
                          ::testing::Values(Backend::kRtm, Backend::kTinyStm,
                                            Backend::kHybrid, Backend::kLock),
-                         [](const auto& info) {
-                           return std::string(core::backend_name(info.param));
+                         [](const auto& suite_info) {
+                           return std::string(core::backend_name(suite_info.param));
                          });
 
 TEST(Pmu, LockBackendHasNoTransactionCycles) {
@@ -361,12 +361,17 @@ TEST(Registry, HeapCountersAreDigestedOrderInvariantly) {
   obs::HeapPmuCounters t1 = serial.heap_totals();
   obs::HeapPmuCounters t2 = shuffled.heap_totals();
   EXPECT_TRUE(t1.present);
-  EXPECT_EQ(t1.policy, "size-class");  // label-sorted first capture's policy
+  EXPECT_EQ(t1.policy, "mixed");  // the two captures disagree
   EXPECT_EQ(t2.policy, t1.policy);
   EXPECT_EQ(t1.allocs, a.pmu->heap.allocs + b.pmu->heap.allocs);
   EXPECT_EQ(t2.allocs, t1.allocs);
   ASSERT_EQ(t1.set_allocs.size(), t2.set_allocs.size());
   EXPECT_EQ(t1.set_allocs, t2.set_allocs);
+
+  obs::Registry one_policy;  // captures that agree keep the policy's name
+  one_policy.add(a);
+  one_policy.add(captured_heap_run("heap:c", mem::PlacementPolicy::kSizeClass));
+  EXPECT_EQ(one_policy.heap_totals().policy, "size-class");
 }
 
 TEST(Registry, HeapPolicyChangesTheCounterDigest) {
@@ -471,8 +476,8 @@ TEST_P(MetricsWindowIdentity, HoldsUnderInterruptForcedAborts) {
 INSTANTIATE_TEST_SUITE_P(Backends, MetricsWindowIdentity,
                          ::testing::Values(Backend::kRtm, Backend::kTinyStm,
                                            Backend::kHybrid, Backend::kLock),
-                         [](const auto& info) {
-                           return std::string(core::backend_name(info.param));
+                         [](const auto& suite_info) {
+                           return std::string(core::backend_name(suite_info.param));
                          });
 
 TEST(MetricsWindowIdentity, LockBackendWindowsCarryLockSections) {

@@ -120,8 +120,8 @@ TEST_P(HostileWorkload, ConservationUnderInterruptsAndMutualKill) {
 INSTANTIATE_TEST_SUITE_P(Backends, HostileWorkload,
                          ::testing::Values(Backend::kRtm, Backend::kTinyStm,
                                            Backend::kTl2),
-                         [](const auto& info) {
-                           return core::backend_name(info.param);
+                         [](const auto& suite_info) {
+                           return core::backend_name(suite_info.param);
                          });
 
 TEST(Determinism, FullStackBitIdenticalAcrossRuns) {

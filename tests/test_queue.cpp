@@ -89,8 +89,8 @@ TEST_P(QueueDrain, ConcurrentPopsDrainExactlyOnce) {
 INSTANTIATE_TEST_SUITE_P(Backends, QueueDrain,
                          ::testing::Values(Backend::kLock, Backend::kRtm,
                                            Backend::kTinyStm),
-                         [](const auto& info) {
-                           return core::backend_name(info.param);
+                         [](const auto& suite_info) {
+                           return core::backend_name(suite_info.param);
                          });
 
 TEST(Queue, CasPopDrainsExactlyOnce) {

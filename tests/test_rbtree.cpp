@@ -127,7 +127,9 @@ TEST_P(RbTreeRandomOps, MatchesStdMapAndKeepsInvariants) {
         bool ours = t.find(ctx, key, &v);
         auto it = ref.find(key);
         ASSERT_EQ(ours, it != ref.end()) << "find(" << key << ")";
-        if (ours) ASSERT_EQ(v, it->second);
+        if (ours) {
+          ASSERT_EQ(v, it->second);
+        }
       }
     }
   });
@@ -174,8 +176,8 @@ TEST_P(RbTreeConcurrent, ParallelInsertsAndRemoves) {
 INSTANTIATE_TEST_SUITE_P(Backends, RbTreeConcurrent,
                          ::testing::Values(Backend::kLock, Backend::kRtm,
                                            Backend::kTinyStm, Backend::kTl2),
-                         [](const auto& info) {
-                           return core::backend_name(info.param);
+                         [](const auto& suite_info) {
+                           return core::backend_name(suite_info.param);
                          });
 
 TEST(RbTree, AbortedInsertLeavesTreeUntouched) {

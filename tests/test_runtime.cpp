@@ -45,9 +45,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          Backend::kTinyStm, Backend::kTl2,
                                          Backend::kHybrid),
                        ::testing::Values(1u, 2u, 4u, 8u)),
-    [](const auto& info) {
-      return std::string(backend_name(std::get<0>(info.param))) + "_" +
-             std::to_string(std::get<1>(info.param)) + "t";
+    [](const auto& suite_info) {
+      return std::string(backend_name(std::get<0>(suite_info.param))) + "_" +
+             std::to_string(std::get<1>(suite_info.param)) + "t";
     });
 
 TEST(TxRuntime, SeqBackendRunsWithoutSynchronization) {

@@ -166,9 +166,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          core::Backend::kTinyStm,
                                          core::Backend::kHybrid,
                                          core::Backend::kLock)),
-    [](const auto& info) {
-      return std::string(service_name(std::get<0>(info.param))) + "_" +
-             core::backend_name(std::get<1>(info.param));
+    [](const auto& suite_info) {
+      return std::string(service_name(std::get<0>(suite_info.param))) + "_" +
+             core::backend_name(std::get<1>(suite_info.param));
     });
 
 TEST(ServerService, SameSeedSameScoreboardCell) {
@@ -252,8 +252,8 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ServerPhaseDetection,
                                            core::Backend::kTinyStm,
                                            core::Backend::kHybrid,
                                            core::Backend::kLock),
-                         [](const auto& info) {
-                           return std::string(core::backend_name(info.param));
+                         [](const auto& suite_info) {
+                           return std::string(core::backend_name(suite_info.param));
                          });
 
 // ---- --jobs determinism of the rendered scoreboard ----
