@@ -7,6 +7,7 @@
 //   ./packet_reassembly [--threads=4] [--flows=512] [--fragments=12]
 
 #include <iostream>
+#include <string>
 
 #include "stamp/apps/intruder.h"
 #include "util/flags.h"
@@ -27,6 +28,7 @@ int main(int argc, char** argv) {
   util::Table t({"version", "Mcycles", "abort rate", "reassembly cycles/tx",
                  "fallbacks", "valid"});
   double base_time = 0;
+  std::string failures;
   for (bool optimized : {false, true}) {
     stamp::IntruderConfig app;
     app.flows = flows;
@@ -47,6 +49,10 @@ int main(int argc, char** argv) {
                util::Table::fmt(cyc_tx, 0),
                util::Table::fmt_int(static_cast<int64_t>(res.report.rtm.fallbacks)),
                res.valid ? "yes" : res.validation_message.c_str()});
+    if (!res.valid) {
+      failures += std::string(optimized ? "optimized" : "baseline") + ": " +
+                  res.validation_message + "\n";
+    }
     if (optimized) {
       double reduc = 100.0 * (1.0 - res.report.wall_cycles / base_time);
       std::cout << "Optimization reduced execution time by "
@@ -54,6 +60,10 @@ int main(int argc, char** argv) {
     }
   }
   t.print(std::cout);
+  if (!failures.empty()) {
+    std::cerr << "\nREASSEMBLY INVALID:\n" << failures;
+    return 1;
+  }
   std::cout << "\nEvery flow was reassembled exactly once, in order, under "
                "RTM with the serial fallback.\n";
   return 0;

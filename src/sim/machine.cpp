@@ -290,7 +290,8 @@ Cycles Machine::mem_access(Addr addr, bool is_write) {
   bool tx = c.tx.active && !c.tx.doomed;
   // Page-fault model: faults are suppressed inside transactions (the tx
   // aborts and the page stays absent, as on real TSX hardware).
-  if (!mem_.backing().present(addr)) {
+  // lookup_present materializes a prefaulted page on its first touch.
+  if (!mem_.backing().lookup_present(addr)) {
     if (tx) {
       abort_tx(c.id, AbortReason::kPageFault, line_of(addr), 0, c.id);
       deliver_abort(c);

@@ -159,6 +159,9 @@ class Machine {
   // Host-side (costless) value access for setup/validation.
   Word peek(Addr addr) const { return mem_.backing().peek(addr); }
   void poke(Addr addr, Word value) { mem_.backing().poke(addr, value); }
+  // Marks [addr, addr+bytes) present at no simulated cost (memory touched
+  // before the measured region). The host records the page interval and
+  // allocates a page only on its first poke or simulated access.
   void prefault(Addr addr, uint64_t bytes) { mem_.backing().prefault(addr, bytes); }
 
   // Named barrier across all threads of the machine. Host-level: waiting

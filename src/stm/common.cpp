@@ -17,8 +17,9 @@ const char* stm_abort_cause_name(StmAbortCause c) {
 
 void LockTable::init() {
   // The lock table is allocated and touched at library startup, before any
-  // measured region, so its pages are simply made present. Fresh pages are
-  // zero-filled, and 0 is every entry's initial state (unlocked, version 0).
+  // measured region, so its pages are simply made present. Prefaulted pages
+  // read 0 until first written, and 0 is every entry's initial state
+  // (unlocked, version 0).
   m_.prefault(base_, bytes());
 }
 

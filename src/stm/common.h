@@ -95,9 +95,9 @@ class LockTable {
       : m_(m), base_(base), mask_(cfg.lock_table_entries - 1),
         shift_(cfg.stripe_shift), entries_(cfg.lock_table_entries) {}
 
-  // Marks the table's pages present; they start zero-filled, so every entry
-  // starts unlocked at version 0 (library startup cost, outside measured
-  // regions).
+  // Marks the table's pages present; they read 0, so every entry starts
+  // unlocked at version 0 (library startup cost, outside measured regions).
+  // The host allocates a page of the table only when it is first touched.
   void init();
 
   Addr lock_addr(Addr data_addr) const {

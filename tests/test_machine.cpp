@@ -74,6 +74,33 @@ TEST(Machine, PageFaultCostOncePerPage) {
   EXPECT_EQ(m.stats().mem.page_faults, 1u);
 }
 
+// An untouched prefaulted word reads 0 without a fault; the first access
+// materializes its page, on the fast path and on the general path alike.
+TEST(Machine, PrefaultedPageMaterializesOnFirstAccess) {
+  for (bool general_only : {false, true}) {
+    Machine m(quiet(), 1);
+    if (general_only) {
+      TraceHooks hooks;
+      hooks.on_access = [](CtxId, Addr, Word, Word, bool, bool) {};
+      m.set_trace_hooks(std::move(hooks));
+    }
+    const Addr base = 0x100000;
+    m.prefault(base, 64 * kPageBytes);
+    const BackingStore& bs = m.memory().backing();
+    EXPECT_EQ(bs.pages_allocated(), 0u);
+    m.set_thread(0, [&] {
+      EXPECT_EQ(m.load(base + 5 * kPageBytes), 0u);
+      EXPECT_EQ(bs.pages_allocated(), 1u);
+      m.store(base + 9 * kPageBytes + 8, 42);
+      EXPECT_EQ(m.load(base + 9 * kPageBytes + 8), 42u);
+      EXPECT_EQ(bs.pages_allocated(), 2u);
+    });
+    m.run();
+    EXPECT_EQ(m.stats().mem.page_faults, 0u) << general_only;
+    EXPECT_EQ(m.peek(base + 9 * kPageBytes + 8), 42u);
+  }
+}
+
 TEST(Machine, TxCommitMakesWritesDurable) {
   Machine m(quiet(), 1);
   m.prefault(0x1000, 4096);

@@ -62,6 +62,20 @@ TEST(TxRuntime, SeqBackendRunsWithoutSynchronization) {
   EXPECT_EQ(rt.machine().peek(counter), 100u);
 }
 
+// An STM runtime prefaults its 8 MiB lock table and its log rings (2,562
+// pages at the default config). They materialize on first touch, so
+// construction allocates at most 2 pages.
+TEST(TxRuntime, StmConstructionMaterializesAtMostTwoPages) {
+  for (Backend b : {Backend::kTinyStm, Backend::kTl2, Backend::kHybrid}) {
+    RunConfig cfg;
+    cfg.backend = b;
+    cfg.threads = 4;
+    TxRuntime rt(cfg);
+    EXPECT_LE(rt.machine().memory().backing().pages_allocated(), 2u)
+        << backend_name(b);
+  }
+}
+
 TEST(TxRuntime, ReportMeasuresWindowOnly) {
   RunConfig cfg = make_cfg(Backend::kLock, 2);
   TxRuntime rt(cfg);
