@@ -113,12 +113,17 @@ class TxExecutor {
   virtual bool lock_cas(sim::Addr a, sim::Word expected, sim::Word desired);
   virtual sim::Word lock_fetch_add(sim::Addr a, sim::Word delta);
 
-  // True while `ctx` runs a live software transaction (raw atomics are then
-  // a programming error, and machine-level trace events are metadata).
+  // True while `ctx` runs a live software transaction (machine-level trace
+  // events are then metadata).
   virtual bool stm_active(sim::CtxId ctx) const {
     (void)ctx;
     return false;
   }
+
+  // True while every access of `ctx` must go through load()/store(): inside
+  // a software transaction, and under Hybrid inside a hardware attempt too.
+  // A raw machine RMW (TxCtx::cas/fetch_add) is then a programming error.
+  virtual bool instrumented(sim::CtxId ctx) const { return stm_active(ctx); }
 
   // True while the calling context executes under a serial fallback lock
   // (i.e. non-speculatively and exclusively).

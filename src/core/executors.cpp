@@ -36,9 +36,8 @@ using sim::Word;
 // speculative attempt / fallback execution. When `observe_commit` is false
 // the commit hook only closes the heap scope: STM executors seal their units
 // through the serialize hook at the true serialization point instead.
-template <class Hooks>
-Hooks make_scope_hooks(const ExecutorEnv& env, bool observe_commit) {
-  return Hooks{
+ScopeHooks make_scope_hooks(const ExecutorEnv& env, bool observe_commit) {
+  return ScopeHooks{
       [env] {
         CtxId c = env.machine->current_ctx();
         env.heap->tx_scope_begin(c);
@@ -59,17 +58,20 @@ Hooks make_scope_hooks(const ExecutorEnv& env, bool observe_commit) {
 }
 
 // One speculative elision attempt on a hardware-transactional backend:
-// subscribe the lock word inside the transaction (abort kAbortCodeLockBusy
-// when held), run the body, and map the attempt result onto ElideOutcome.
-// Mirrors RtmExecutor::execute's hook ordering so the recorder and heap
-// scoping see elided sections exactly like executor transactions.
-ElideOutcome hw_elide(sim::Machine& m, obs::TraceSink* sink,
-                      const htm::ScopeHooks& hooks,
-                      util::FnRef<void()> body, Addr lock_word, uint32_t site) {
-  if (sink) sink->set_site(m.current_ctx(), site);
+// subscribe the lock word inside the transaction through the executor's own
+// load() (abort kAbortCodeLockBusy when held), run the body, and map the
+// attempt result onto ElideOutcome. Mirrors RtmExecutor::execute's hook
+// ordering so the recorder and heap scoping see elided sections exactly like
+// executor transactions.
+ElideOutcome hw_elide(TxExecutor& ex, const ExecutorEnv& env,
+                      const ScopeHooks& hooks, util::FnRef<void()> body,
+                      Addr lock_word, uint32_t site) {
+  sim::Machine& m = *env.machine;
+  CtxId ctx = m.current_ctx();
+  if (env.sink) env.sink->set_site(ctx, site);
   hooks.on_begin();
   htm::AttemptResult r = htm::attempt(m, [&] {
-    if (lock_word != 0 && m.load(lock_word) != 0) {
+    if (lock_word != 0 && ex.load(ctx, lock_word) != 0) {
       m.tx_abort(htm::kAbortCodeLockBusy);
     }
     body();
@@ -150,13 +152,13 @@ class HleExecutor final : public TxExecutor {
   explicit HleExecutor(const ExecutorEnv& env)
       : TxExecutor(env),
         lock_(*env.machine, mem::kRuntimeRegionBase + 2 * sim::kLineBytes),
-        elide_hooks_(make_scope_hooks<htm::ScopeHooks>(env, true)) {
+        elide_hooks_(make_scope_hooks(env, true)) {
     lock_.init();
     // Heap scoping and observer bracketing fire per elision attempt;
     // lock-path sections seal before the unlock, elided sections seal
     // through the machine's tx-commit trace hook (the later scope-commit
     // call is an idempotent backstop).
-    lock_.set_scope_hooks(make_scope_hooks<htm::ScopeHooks>(env, true));
+    lock_.set_scope_hooks(make_scope_hooks(env, true));
     lock_.set_sink(env.sink);
   }
 
@@ -169,8 +171,7 @@ class HleExecutor final : public TxExecutor {
 
   ElideOutcome elide(util::FnRef<void()> body, Addr lock_word,
                      uint32_t site) override {
-    return hw_elide(*env_.machine, env_.sink, elide_hooks_, body, lock_word,
-                    site);
+    return hw_elide(*this, env_, elide_hooks_, body, lock_word, site);
   }
 
   // Hardware elision needs raw lock-word RMWs (glibc-style): exclusion
@@ -186,7 +187,7 @@ class HleExecutor final : public TxExecutor {
 
  private:
   htm::HleLock lock_;
-  htm::ScopeHooks elide_hooks_;
+  ScopeHooks elide_hooks_;
 };
 
 // ---- kRtm ----
@@ -196,9 +197,9 @@ class RtmSerialExecutor final : public TxExecutor {
   RtmSerialExecutor(const ExecutorEnv& env, const RetryPolicy& policy)
       : TxExecutor(env),
         rtm_(*env.machine, mem::kRuntimeRegionBase + sim::kLineBytes, policy),
-        elide_hooks_(make_scope_hooks<htm::ScopeHooks>(env, true)) {
+        elide_hooks_(make_scope_hooks(env, true)) {
     rtm_.init();
-    rtm_.set_scope_hooks(make_scope_hooks<htm::ScopeHooks>(env, true));
+    rtm_.set_scope_hooks(make_scope_hooks(env, true));
     rtm_.set_sink(env.sink);
   }
 
@@ -214,8 +215,7 @@ class RtmSerialExecutor final : public TxExecutor {
   // per-lock elision statistics live in the elide layer and the PMU.
   ElideOutcome elide(util::FnRef<void()> body, Addr lock_word,
                      uint32_t site) override {
-    return hw_elide(*env_.machine, env_.sink, elide_hooks_, body, lock_word,
-                    site);
+    return hw_elide(*this, env_, elide_hooks_, body, lock_word, site);
   }
 
   // Raw lock-word RMWs, as for HLE: the CAS itself is the conflict source
@@ -237,7 +237,7 @@ class RtmSerialExecutor final : public TxExecutor {
 
  private:
   htm::RtmExecutor rtm_;
-  htm::ScopeHooks elide_hooks_;
+  ScopeHooks elide_hooks_;
 };
 
 // ---- STM-backed executors (kTinyStm, kTl2, and kHybrid's fallback) ----
@@ -250,16 +250,13 @@ class RtmSerialExecutor final : public TxExecutor {
 class StmBackedExecutor : public TxExecutor {
  public:
   StmBackedExecutor(const ExecutorEnv& env,
-                    std::unique_ptr<stm::StmSystem> sys,
-                    const stm::StmConfig& cfg)
-      : TxExecutor(env),
-        stm_(std::move(sys)),
-        stm_exec_(*env.machine, *stm_, cfg) {
+                    std::unique_ptr<stm::StmSystem> sys)
+      : TxExecutor(env), stm_(std::move(sys)), stm_exec_(*env.machine, *stm_) {
     stm_->init();
     stm_->set_serialize_hook([this](CtxId c) {
       if (TxObserver* o = obs()) o->on_unit_commit(c);
     });
-    stm_exec_.set_scope_hooks(make_scope_hooks<stm::ScopeHooks>(env, false));
+    stm_exec_.set_scope_hooks(make_scope_hooks(env, false));
     stm_exec_.set_sink(env.sink);
   }
 
@@ -396,31 +393,18 @@ class HybridExecutor final : public StmBackedExecutor {
 
   HybridExecutor(const ExecutorEnv& env, const RetryPolicy& policy,
                  const stm::StmConfig& cfg)
-      : StmBackedExecutor(
-            env, std::make_unique<stm::TinyStm>(*env.machine, mem::kStmRegionBase, cfg),
-            cfg),
+      : StmBackedExecutor(env, std::make_unique<stm::TinyStm>(
+                                     *env.machine, mem::kStmRegionBase, cfg)),
         m_(*env.machine),
         policy_(policy),
         tiny_(static_cast<stm::TinyStm*>(stm_.get())),
         clock_line_(sim::line_of(tiny_->clock_addr())),
-        hw_hooks_(make_scope_hooks<htm::ScopeHooks>(env, true)) {}
+        hw_hooks_(make_scope_hooks(env, true)) {}
 
   const char* name() const override { return "Hybrid"; }
 
   void execute(util::FnRef<void()> body, uint32_t site) override {
-    // Index, not pointer: body() may yield to a fiber whose execute()
-    // appends a new site and reallocates sites_ underneath us.
-    size_t site_idx = sites_.size();
-    for (size_t i = 0; i < sites_.size(); ++i) {
-      if (sites_[i].first == site) {
-        site_idx = i;
-        break;
-      }
-    }
-    if (site_idx == sites_.size()) sites_.emplace_back(site, htm::RtmStats{});
-    ++total_.transactions;
-    ++sites_[site_idx].second.transactions;
-
+    size_t site_idx = ledger_.open(site);
     CtxId ctx = m_.current_ctx();
     if (env_.sink) env_.sink->set_site(ctx, site);
     PerCtx& pc = per_ctx_[ctx];
@@ -435,8 +419,7 @@ class HybridExecutor final : public StmBackedExecutor {
         publish(pc);
       });
       pc.hw = false;
-      record(total_, r);
-      record(sites_[site_idx].second, r);
+      ledger_.record(site_idx, r, classify(r));
       if (r.committed) {
         hw_hooks_.on_commit();
         return;
@@ -451,21 +434,15 @@ class HybridExecutor final : public StmBackedExecutor {
         break;
       }
       if (policy_.exhausted(attempts)) break;
-      Cycles wait = policy_.backoff_cycles(attempts, m_.setup_rng());
-      if (env_.sink) env_.sink->retry_decision(ctx, m_.now(), false, wait);
-      if (wait) m_.compute(wait);
+      if (env_.sink) env_.sink->retry_decision(ctx, m_.now(), false, 0);
     }
 
     // Software fallback: a full TinySTM transaction, concurrent with other
     // contexts' hardware attempts (which it dooms on true conflict).
     Cycles t0 = m_.now();
-    ++total_.fallbacks;
-    ++sites_[site_idx].second.fallbacks;
     if (env_.sink) env_.sink->retry_decision(ctx, m_.now(), true, 0);
     stm_exec_.execute(body, site);
-    Cycles dt = m_.now() - t0;
-    total_.cycles_fallback += dt;
-    sites_[site_idx].second.cycles_fallback += dt;
+    ledger_.fallback(site_idx, m_.now() - t0);
   }
 
   Word load(CtxId ctx, Addr a) override {
@@ -488,44 +465,37 @@ class HybridExecutor final : public StmBackedExecutor {
     m_.store(a, v);
   }
 
-  // Hardware elision attempt with hybrid coupling: the lock word's *stripe*
-  // joins the read set too (and is checked for a software owner), and a
-  // writing elided section publishes its commit to STM timestamp validation
-  // exactly like execute()'s hardware path. Software-mode work (the caller's
-  // fallback and lock-word RMWs) is inherited from StmBackedExecutor.
+  // Hardware elision attempt with hybrid coupling: in hardware mode load()
+  // subscribes the lock word's *stripe* too (and checks it for a software
+  // owner), and a writing elided section publishes its commit to STM
+  // timestamp validation exactly like execute()'s hardware path.
+  // Software-mode work (the caller's fallback and lock-word RMWs) is
+  // inherited from StmBackedExecutor.
   ElideOutcome elide(util::FnRef<void()> body, Addr lock_word,
                      uint32_t site) override {
-    CtxId ctx = m_.current_ctx();
-    if (env_.sink) env_.sink->set_site(ctx, site);
-    PerCtx& pc = per_ctx_[ctx];
-    hw_hooks_.on_begin();
+    PerCtx& pc = per_ctx_[m_.current_ctx()];
     pc.hw = true;
     pc.write_stripes.clear();
-    htm::AttemptResult r = htm::attempt(m_, [&] {
-      if (lock_word != 0) {
-        subscribe_stripe(lock_word);
-        if (m_.load(lock_word) != 0) m_.tx_abort(htm::kAbortCodeLockBusy);
-      }
-      body();
-      publish(pc);
-    });
+    ElideOutcome out = hw_elide(
+        *this, env_, hw_hooks_,
+        [&] {
+          body();
+          publish(pc);
+        },
+        lock_word, site);
     pc.hw = false;
-    if (r.committed) {
-      hw_hooks_.on_commit();
-      return ElideOutcome::kCommitted;
-    }
-    hw_hooks_.on_abort();
-    if (r.reason == sim::AbortReason::kExplicit &&
-        sim::xstatus::unpack_code(r.status) == htm::kAbortCodeLockBusy) {
-      return ElideOutcome::kLockBusy;
-    }
-    return ElideOutcome::kAborted;
+    return out;
   }
 
-  htm::RtmStats rtm_stats() const override { return total_; }
+  // A raw RMW inside a hardware attempt would skip stripe publication.
+  bool instrumented(CtxId ctx) const override {
+    return per_ctx_[ctx].hw || stm_->tx_active(ctx);
+  }
+
+  htm::RtmStats rtm_stats() const override { return ledger_.total(); }
   std::vector<std::pair<uint32_t, htm::RtmStats>> rtm_site_stats()
       const override {
-    return sites_;
+    return ledger_.sites();
   }
 
  private:
@@ -565,26 +535,13 @@ class HybridExecutor final : public StmBackedExecutor {
     return htm::RtmExecutor::classify(r, clock_line_);
   }
 
-  void record(htm::RtmStats& s, const htm::AttemptResult& r) const {
-    ++s.attempts;
-    if (r.committed) {
-      ++s.commits;
-      s.cycles_committed += r.cycles;
-      return;
-    }
-    s.cycles_aborted += r.cycles;
-    ++s.aborts_by_class[static_cast<size_t>(classify(r))];
-    ++s.aborts_by_reason[static_cast<size_t>(r.reason)];
-  }
-
   sim::Machine& m_;
   RetryPolicy policy_;
   stm::TinyStm* tiny_;  // the same object stm_ owns, concretely typed
   uint64_t clock_line_;
-  htm::ScopeHooks hw_hooks_;
+  ScopeHooks hw_hooks_;
   std::array<PerCtx, sim::kMaxCtxs> per_ctx_{};
-  htm::RtmStats total_;
-  std::vector<std::pair<uint32_t, htm::RtmStats>> sites_;
+  htm::AttemptLedger ledger_;
 };
 
 }  // namespace
@@ -675,16 +632,12 @@ std::unique_ptr<TxExecutor> make_executor(const RunConfig& cfg,
       return std::make_unique<RtmSerialExecutor>(env, cfg.retry);
     case Backend::kTinyStm:
       return std::make_unique<StmExecutorAdapter>(
-          env,
-          std::make_unique<stm::TinyStm>(*env.machine, mem::kStmRegionBase,
-                                         cfg.stm),
-          cfg.stm);
+          env, std::make_unique<stm::TinyStm>(*env.machine,
+                                              mem::kStmRegionBase, cfg.stm));
     case Backend::kTl2:
       return std::make_unique<StmExecutorAdapter>(
-          env,
-          std::make_unique<stm::Tl2>(*env.machine, mem::kStmRegionBase,
-                                     cfg.stm),
-          cfg.stm);
+          env, std::make_unique<stm::Tl2>(*env.machine, mem::kStmRegionBase,
+                                          cfg.stm));
     case Backend::kHle:
       return std::make_unique<HleExecutor>(env);
     case Backend::kCas:

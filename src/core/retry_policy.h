@@ -1,20 +1,15 @@
 #pragma once
-// core::RetryPolicy: the retry/backoff/fallback decision, hoisted out of the
-// individual executors so every backend (RTM serial-fallback, Hybrid TM,
-// the STMs' suicide loop) answers the same three questions the same way:
+// core::RetryPolicy: the retry/fallback decision, hoisted out of the
+// individual executors so every HTM-first path (RTM serial-fallback, Hybrid
+// TM, lock elision) answers the same two questions the same way:
 //   * how many speculative attempts before the fallback path? (budget)
-//   * how long to wait between attempts? (backoff shape)
 //   * how does the fast path watch the fallback lock? (subscription)
+// A failed attempt is retried immediately, as in the paper's Algorithm 1.
 //
-// Leaf header: depends only on sim/, so htm/ and stm/ can accept a policy
-// without linking against tsx_core.
+// Leaf header: depends only on the standard library, so htm/ and stm/ can
+// accept a policy without linking against tsx_core.
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
-
-#include "sim/rng.h"
-#include "sim/types.h"
 
 namespace tsx::core {
 
@@ -25,67 +20,17 @@ enum class LockSubscription : uint8_t {
   kNone,               // unsafe in general; provided for the ablation only
 };
 
-// Shape of the wait between failed attempts.
-enum class BackoffShape : uint8_t {
-  kNone = 0,     // retry immediately (the paper's Algorithm 1)
-  kLinear,       // window grows linearly in the attempt number
-  kExponential,  // window doubles per attempt (TinySTM suicide backoff)
-};
-
 struct RetryPolicy {
   // Speculative attempts before the executor takes its fallback path;
   // <= 0 means unbounded (no fallback — retry until commit).
   int max_attempts = 8;  // the paper's MAX_RETRIES
   LockSubscription subscription = LockSubscription::kSubscribeInTx;
-  BackoffShape backoff = BackoffShape::kNone;
-  sim::Cycles backoff_base_cycles = 120;
-  uint32_t backoff_cap_shift = 10;  // window stops growing after 2^shift
 
   bool unbounded() const { return max_attempts <= 0; }
 
   // True once `attempts` tries have been burned and the fallback is due.
   bool exhausted(uint32_t attempts) const {
     return !unbounded() && attempts >= static_cast<uint32_t>(max_attempts);
-  }
-
-  // Largest backoff window ever handed out: 2^62 simulated cycles, beyond
-  // any horizon a run can reach, and small enough that base + draw cannot
-  // wrap uint64_t for any sane base.
-  static constexpr uint64_t kMaxBackoffWindow = uint64_t{1} << 62;
-
-  // Simulated cycles to wait before the attempt following `attempt_no`
-  // failed tries. Randomized within the shape's window (exactly one rng draw
-  // for any shape but kNone, which draws nothing). Callers must skip the
-  // machine compute() entirely when this returns 0 so a no-backoff policy
-  // introduces no extra scheduling points.
-  //
-  // Both `backoff_cap_shift` (a knob) and `attempt_no` (unbounded under a
-  // generous budget) can reach the word width, where a raw `1 << shift` /
-  // `base << shift` is undefined behavior — so every shift is clamped below
-  // 64 and the window saturates at kMaxBackoffWindow instead of wrapping.
-  // In-range configurations (shift small enough that nothing saturates) are
-  // bit-for-bit unchanged.
-  sim::Cycles backoff_cycles(uint32_t attempt_no, sim::Rng& rng) const {
-    if (backoff == BackoffShape::kNone) return 0;
-    uint64_t window;
-    if (backoff == BackoffShape::kLinear) {
-      // attempt_no < 2^32, so a cap beyond 2^32 never binds; clamping the
-      // shift there keeps it far below the word width.
-      uint64_t cap = uint64_t{1} << std::min(backoff_cap_shift, 32u);
-      __uint128_t w = static_cast<__uint128_t>(backoff_base_cycles) *
-                      std::min<uint64_t>(attempt_no, cap);
-      window = w > kMaxBackoffWindow ? kMaxBackoffWindow
-                                     : static_cast<uint64_t>(w);
-    } else {
-      uint64_t base = backoff_base_cycles;
-      uint32_t width = static_cast<uint32_t>(std::bit_width(base));
-      // base << shift < 2^(width + shift): keeping width + shift <= 62
-      // bounds the window by kMaxBackoffWindow with no overflow.
-      uint32_t max_shift = width < 62 ? 62 - width : 0;
-      uint32_t shift = std::min({attempt_no, backoff_cap_shift, max_shift});
-      window = base << shift;
-    }
-    return backoff_base_cycles + rng.below(window | 1);
   }
 };
 

@@ -265,15 +265,15 @@ void TxCtx::store(Addr a, Word v) {
 }
 
 bool TxCtx::cas(Addr a, Word expected, Word desired) {
-  if (in_atomic_ && rt_.exec_->stm_active(id_)) {
-    throw std::logic_error("raw CAS inside an STM transaction");
+  if (in_atomic_ && rt_.exec_->instrumented(id_)) {
+    throw std::logic_error("raw CAS inside an instrumented transaction");
   }
   return rt_.machine_->cas(a, expected, desired);
 }
 
 Word TxCtx::fetch_add(Addr a, Word delta) {
-  if (in_atomic_ && rt_.exec_->stm_active(id_)) {
-    throw std::logic_error("raw fetch_add inside an STM transaction");
+  if (in_atomic_ && rt_.exec_->instrumented(id_)) {
+    throw std::logic_error("raw fetch_add inside an instrumented transaction");
   }
   return rt_.machine_->fetch_add(a, delta);
 }

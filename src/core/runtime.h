@@ -70,7 +70,7 @@ struct RunConfig {
   Backend backend = Backend::kSeq;
   uint32_t threads = 1;
   sim::MachineConfig machine{};
-  // Retry/backoff/fallback knobs for the HTM-first backends (kRtm, kHybrid).
+  // Retry/fallback knobs for the HTM-first backends (kRtm, kHybrid).
   RetryPolicy retry{};
   stm::StmConfig stm{};
   mem::HeapConfig heap{};
@@ -90,7 +90,8 @@ class TxCtx {
   void store(Addr a, Word v);
 
   // Non-transactional atomics (Table I's CAS variant and workload plumbing).
-  // Calling them inside an STM transaction is a programming error.
+  // They throw std::logic_error inside an STM transaction or a Hybrid
+  // hardware attempt, whose accesses must all be instrumented.
   bool cas(Addr a, Word expected, Word desired);
   Word fetch_add(Addr a, Word delta);
 

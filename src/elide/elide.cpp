@@ -12,7 +12,35 @@ namespace {
 // sink maps it to "elide:<name>" for abort attribution.
 constexpr uint32_t kElideSiteBase = 0xe11d0000u;
 
+// Self-stop threshold: the wasted share of a window's speculative cycles.
+constexpr double kSelfStopWastedShare = 0.75;
+
 Word owner_token(core::TxCtx& ctx) { return static_cast<Word>(ctx.id()) + 1; }
+
+// Spins until the CAS of `word` from free (0) to `me` succeeds.
+void spin_acquire(core::TxCtx& ctx, Addr word, Word me) {
+  while (!ctx.lock_cas(word, 0, me)) ctx.pause();
+}
+
+// The reader half of the SerialRwLock protocol, shared by shared_mutex and
+// sux_lock: count in, then back out if a writer is present.
+bool try_enter_shared(core::TxCtx& ctx, Addr readers, Addr writer) {
+  ctx.lock_fetch_add(readers, 1);
+  if (ctx.load(writer) == 0) return true;
+  ctx.lock_fetch_add(readers, static_cast<Word>(-1));
+  return false;
+}
+
+// Retries try_enter_shared, waiting out each writer in between.
+void enter_shared(core::TxCtx& ctx, Addr readers, Addr writer) {
+  while (!try_enter_shared(ctx, readers, writer)) {
+    while (ctx.load(writer) != 0) ctx.pause();
+  }
+}
+
+void leave_shared(core::TxCtx& ctx, Addr readers) {
+  ctx.lock_fetch_add(readers, static_cast<Word>(-1));
+}
 
 }  // namespace
 
@@ -51,7 +79,7 @@ void LockBase::account(core::TxCtx& ctx, obs::ElideAcqKind kind,
       double share = spec ? static_cast<double>(window_wasted_) /
                                 static_cast<double>(spec)
                           : 0.0;
-      if (share > cfg_.selfstop_wasted_share) {
+      if (share > kSelfStopWastedShare) {
         if (++strikes_ >= cfg_.selfstop_strikes) {
           stats_.stopped = true;
           ++stats_.self_stops;
@@ -76,57 +104,60 @@ void LockBase::note_locked_acquire(core::TxCtx& ctx) {
   account(ctx, obs::ElideAcqKind::kLocked, 0, 0, 0);
 }
 
-LockBase::SpecResult LockBase::speculate(core::TxCtx& ctx,
-                                         util::FnRef<void()> body,
-                                         Addr subscribed_word,
-                                         const std::function<bool()>& more_free) {
-  SpecResult r;
-  if (!elision_active()) return r;
-  bool extra_busy = false;
-  // Host-side wrapper only; the more_free branch costs nothing simulated.
-  auto wrapped = [&extra_busy, &more_free, body] {
-    if (more_free && !more_free()) {
-      extra_busy = true;
-      return;
-    }
-    body();
-  };
-  sim::Machine& m = rt_.machine();
-  uint32_t attempt_no = 0;
-  while (!cfg_.retry.exhausted(attempt_no)) {
-    ++attempt_no;
-    ++r.attempts;
-    ++stats_.attempts;
-    extra_busy = false;
-    Cycles t0 = ctx.now();
-    core::ElideOutcome out = ctx.elide(wrapped, subscribed_word, site_);
-    Cycles dt = ctx.now() - t0;
-    bool busy = out == core::ElideOutcome::kLockBusy ||
-                (out == core::ElideOutcome::kCommitted && extra_busy);
-    if (out == core::ElideOutcome::kCommitted && !extra_busy) {
-      ++stats_.elided;
-      stats_.cycles_elided += dt;
-      stats_.cycles_wasted += r.wasted;
-      account(ctx, obs::ElideAcqKind::kElided, r.attempts, dt, r.wasted);
-      r.committed = true;
-      return r;
-    }
-    r.wasted += dt;
-    if (busy) {
+void LockBase::section(core::TxCtx& ctx, util::FnRef<void()> body,
+                       Addr subscribed_word,
+                       const std::function<bool()>& more_free,
+                       util::FnRef<void()> acquire,
+                       util::FnRef<void()> release) {
+  uint32_t attempts = 0;
+  Cycles wasted = 0;  // cycles burned in non-committing attempts
+  if (elision_active()) {
+    bool extra_busy = false;
+    // Host-side wrapper only; the more_free branch costs nothing simulated.
+    auto wrapped = [&extra_busy, &more_free, body] {
+      if (more_free && !more_free()) {
+        extra_busy = true;
+        return;
+      }
+      body();
+    };
+    while (!cfg_.retry.exhausted(attempts)) {
+      ++attempts;
+      ++stats_.attempts;
+      extra_busy = false;
+      Cycles t0 = ctx.now();
+      core::ElideOutcome out = ctx.elide(wrapped, subscribed_word, site_);
+      Cycles dt = ctx.now() - t0;
+      if (out == core::ElideOutcome::kCommitted && !extra_busy) {
+        ++stats_.elided;
+        stats_.cycles_elided += dt;
+        stats_.cycles_wasted += wasted;
+        account(ctx, obs::ElideAcqKind::kElided, attempts, dt, wasted);
+        return;
+      }
+      wasted += dt;
+      if (out == core::ElideOutcome::kAborted) {
+        ++stats_.aborts;  // retried immediately
+        continue;
+      }
       // A real holder (or, on composite locks, a reader) excludes us; yield
       // a beat before retrying rather than hammering the held word.
       ++stats_.busy_waits;
       ctx.pause();
-      continue;
     }
-    ++stats_.aborts;
-    Cycles wait = cfg_.retry.backoff_cycles(attempt_no, m.setup_rng());
-    if (wait) ctx.compute(wait);
+    stats_.cycles_wasted += wasted;
   }
-  // Budget exhausted: the caller takes the real lock. The acquisition is
-  // accounted when the fallback section completes.
-  stats_.cycles_wasted += r.wasted;
-  return r;
+  // Budget exhausted (or elision off): take the real lock.
+  ++stats_.fallbacks;
+  acquire();
+  try {
+    ctx.elide_fallback(body, site_);
+  } catch (...) {
+    release();
+    throw;
+  }
+  release();
+  account(ctx, obs::ElideAcqKind::kFallback, attempts, 0, wasted);
 }
 
 }  // namespace detail
@@ -137,8 +168,7 @@ mutex::mutex(core::TxRuntime& rt, std::string name, const ElideConfig& cfg)
     : LockBase(rt, std::move(name), cfg, 1) {}
 
 void mutex::lock(core::TxCtx& ctx) {
-  Word me = owner_token(ctx);
-  while (!ctx.lock_cas(word(), 0, me)) ctx.pause();
+  spin_acquire(ctx, word(), owner_token(ctx));
   note_locked_acquire(ctx);
 }
 
@@ -163,19 +193,11 @@ bool mutex::held_by(core::TxCtx& ctx) {
 }
 
 void mutex::critical_section(core::TxCtx& ctx, util::FnRef<void()> body) {
-  detail::LockBase::SpecResult r = speculate(ctx, body, subscribed(word()), {});
-  if (r.committed) return;
-  ++stats_.fallbacks;
   Word me = owner_token(ctx);
-  while (!ctx.lock_cas(word(), 0, me)) ctx.pause();
-  try {
-    ctx.elide_fallback(body, site());
-  } catch (...) {
-    ctx.lock_cas(word(), me, 0);
-    throw;
-  }
-  ctx.lock_cas(word(), me, 0);
-  account(ctx, obs::ElideAcqKind::kFallback, r.attempts, 0, r.wasted);
+  section(
+      ctx, body, subscribed(word()), {},
+      [&] { spin_acquire(ctx, word(), me); },
+      [&] { ctx.lock_cas(word(), me, 0); });
 }
 
 void mutex::locked_section(core::TxCtx& ctx, util::FnRef<void()> body) {
@@ -196,8 +218,7 @@ shared_mutex::shared_mutex(core::TxRuntime& rt, std::string name,
     : LockBase(rt, std::move(name), cfg, 2) {}
 
 void shared_mutex::lock(core::TxCtx& ctx) {
-  Word me = owner_token(ctx);
-  while (!ctx.lock_cas(writer_word(), 0, me)) ctx.pause();
+  spin_acquire(ctx, writer_word(), owner_token(ctx));
   while (ctx.load(reader_word()) != 0) ctx.pause();
   note_locked_acquire(ctx);
 }
@@ -221,33 +242,19 @@ void shared_mutex::unlock(core::TxCtx& ctx) {
   }
 }
 
-void shared_mutex::lock_shared_slow(core::TxCtx& ctx) {
-  for (;;) {
-    ctx.lock_fetch_add(reader_word(), 1);
-    if (ctx.load(writer_word()) == 0) return;
-    // Writer present or arrived: back out and wait (SerialRwLock protocol).
-    ctx.lock_fetch_add(reader_word(), static_cast<Word>(-1));
-    while (ctx.load(writer_word()) != 0) ctx.pause();
-  }
-}
-
 void shared_mutex::lock_shared(core::TxCtx& ctx) {
-  lock_shared_slow(ctx);
+  enter_shared(ctx, reader_word(), writer_word());
   note_locked_acquire(ctx);
 }
 
 bool shared_mutex::try_lock_shared(core::TxCtx& ctx) {
-  ctx.lock_fetch_add(reader_word(), 1);
-  if (ctx.load(writer_word()) == 0) {
-    note_locked_acquire(ctx);
-    return true;
-  }
-  ctx.lock_fetch_add(reader_word(), static_cast<Word>(-1));
-  return false;
+  if (!try_enter_shared(ctx, reader_word(), writer_word())) return false;
+  note_locked_acquire(ctx);
+  return true;
 }
 
 void shared_mutex::unlock_shared(core::TxCtx& ctx) {
-  ctx.lock_fetch_add(reader_word(), static_cast<Word>(-1));
+  leave_shared(ctx, reader_word());
 }
 
 void shared_mutex::critical_section(core::TxCtx& ctx,
@@ -259,40 +266,24 @@ void shared_mutex::critical_section(core::TxCtx& ctx,
   if (cfg_.subscribe) {
     readers_free = [this, &ctx] { return ctx.load(reader_word()) == 0; };
   }
-  detail::LockBase::SpecResult r =
-      speculate(ctx, body, subscribed(writer_word()), readers_free);
-  if (r.committed) return;
-  ++stats_.fallbacks;
   Word me = owner_token(ctx);
-  while (!ctx.lock_cas(writer_word(), 0, me)) ctx.pause();
-  while (ctx.load(reader_word()) != 0) ctx.pause();
-  try {
-    ctx.elide_fallback(body, site());
-  } catch (...) {
-    ctx.lock_cas(writer_word(), me, 0);
-    throw;
-  }
-  ctx.lock_cas(writer_word(), me, 0);
-  account(ctx, obs::ElideAcqKind::kFallback, r.attempts, 0, r.wasted);
+  section(
+      ctx, body, subscribed(writer_word()), readers_free,
+      [&] {
+        spin_acquire(ctx, writer_word(), me);
+        while (ctx.load(reader_word()) != 0) ctx.pause();
+      },
+      [&] { ctx.lock_cas(writer_word(), me, 0); });
 }
 
 void shared_mutex::critical_section_shared(core::TxCtx& ctx,
                                            util::FnRef<void()> body) {
   // Shared speculation subscribes only the writer word: concurrent readers
   // (elided or real) must not exclude each other.
-  detail::LockBase::SpecResult r =
-      speculate(ctx, body, subscribed(writer_word()), {});
-  if (r.committed) return;
-  ++stats_.fallbacks;
-  lock_shared_slow(ctx);
-  try {
-    ctx.elide_fallback(body, site());
-  } catch (...) {
-    unlock_shared(ctx);
-    throw;
-  }
-  unlock_shared(ctx);
-  account(ctx, obs::ElideAcqKind::kFallback, r.attempts, 0, r.wasted);
+  section(
+      ctx, body, subscribed(writer_word()), {},
+      [&] { enter_shared(ctx, reader_word(), writer_word()); },
+      [&] { leave_shared(ctx, reader_word()); });
 }
 
 // ---- sux_lock ----
@@ -302,32 +293,20 @@ sux_lock::sux_lock(core::TxRuntime& rt, std::string name,
     : LockBase(rt, std::move(name), cfg, 3) {}
 
 void sux_lock::s_lock(core::TxCtx& ctx) {
-  for (;;) {
-    ctx.lock_fetch_add(reader_word(), 1);
-    if (ctx.load(writer_word()) == 0) break;
-    ctx.lock_fetch_add(reader_word(), static_cast<Word>(-1));
-    while (ctx.load(writer_word()) != 0) ctx.pause();
-  }
+  enter_shared(ctx, reader_word(), writer_word());
   note_locked_acquire(ctx);
 }
 
 bool sux_lock::try_s_lock(core::TxCtx& ctx) {
-  ctx.lock_fetch_add(reader_word(), 1);
-  if (ctx.load(writer_word()) == 0) {
-    note_locked_acquire(ctx);
-    return true;
-  }
-  ctx.lock_fetch_add(reader_word(), static_cast<Word>(-1));
-  return false;
+  if (!try_enter_shared(ctx, reader_word(), writer_word())) return false;
+  note_locked_acquire(ctx);
+  return true;
 }
 
-void sux_lock::s_unlock(core::TxCtx& ctx) {
-  ctx.lock_fetch_add(reader_word(), static_cast<Word>(-1));
-}
+void sux_lock::s_unlock(core::TxCtx& ctx) { leave_shared(ctx, reader_word()); }
 
 void sux_lock::u_lock(core::TxCtx& ctx) {
-  Word me = owner_token(ctx);
-  while (!ctx.lock_cas(update_word(), 0, me)) ctx.pause();
+  spin_acquire(ctx, update_word(), owner_token(ctx));
   note_locked_acquire(ctx);
 }
 
@@ -378,24 +357,10 @@ void sux_lock::critical_section_shared(core::TxCtx& ctx,
   // Shared coexists with an update holder, so only the writer flag is
   // subscribed: an elided reader runs happily beside u_lock owners and is
   // excluded (busied/doomed) exactly when an upgrade begins.
-  detail::LockBase::SpecResult r =
-      speculate(ctx, body, subscribed(writer_word()), {});
-  if (r.committed) return;
-  ++stats_.fallbacks;
-  for (;;) {
-    ctx.lock_fetch_add(reader_word(), 1);
-    if (ctx.load(writer_word()) == 0) break;
-    ctx.lock_fetch_add(reader_word(), static_cast<Word>(-1));
-    while (ctx.load(writer_word()) != 0) ctx.pause();
-  }
-  try {
-    ctx.elide_fallback(body, site());
-  } catch (...) {
-    s_unlock(ctx);
-    throw;
-  }
-  s_unlock(ctx);
-  account(ctx, obs::ElideAcqKind::kFallback, r.attempts, 0, r.wasted);
+  section(
+      ctx, body, subscribed(writer_word()), {},
+      [&] { enter_shared(ctx, reader_word(), writer_word()); },
+      [&] { leave_shared(ctx, reader_word()); });
 }
 
 void sux_lock::critical_section_x(core::TxCtx& ctx,
@@ -407,24 +372,18 @@ void sux_lock::critical_section_x(core::TxCtx& ctx,
   if (cfg_.subscribe) {
     readers_free = [this, &ctx] { return ctx.load(reader_word()) == 0; };
   }
-  detail::LockBase::SpecResult r =
-      speculate(ctx, body, subscribed(update_word()), readers_free);
-  if (r.committed) return;
-  ++stats_.fallbacks;
   Word me = owner_token(ctx);
-  while (!ctx.lock_cas(update_word(), 0, me)) ctx.pause();
-  ctx.lock_cas(writer_word(), 0, me);
-  while (ctx.load(reader_word()) != 0) ctx.pause();
-  try {
-    ctx.elide_fallback(body, site());
-  } catch (...) {
-    ctx.lock_cas(writer_word(), me, 0);
-    ctx.lock_cas(update_word(), me, 0);
-    throw;
-  }
-  ctx.lock_cas(writer_word(), me, 0);
-  ctx.lock_cas(update_word(), me, 0);
-  account(ctx, obs::ElideAcqKind::kFallback, r.attempts, 0, r.wasted);
+  section(
+      ctx, body, subscribed(update_word()), readers_free,
+      [&] {
+        spin_acquire(ctx, update_word(), me);
+        ctx.lock_cas(writer_word(), 0, me);
+        while (ctx.load(reader_word()) != 0) ctx.pause();
+      },
+      [&] {
+        ctx.lock_cas(writer_word(), me, 0);
+        ctx.lock_cas(update_word(), me, 0);
+      });
 }
 
 // ---- condition_variable ----

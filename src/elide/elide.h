@@ -15,11 +15,12 @@
 //     transaction and bails kLockBusy when it is held, so a real lock
 //     holder excludes all elided sections, and the word joins the read set
 //     so a later acquisition aborts in-flight elided sections.
-//   * Attempts are metered by the lock's own core::RetryPolicy (budget +
-//     backoff). On exhaustion the section falls back to the real lock —
-//     acquired with the sync::spinlock protocols through executor lock-word
-//     RMWs — and runs via TxCtx::elide_fallback so heap scoping and the
-//     check recorder see the same unit shape as an elided section.
+//   * Attempts are metered by the lock's own core::RetryPolicy budget and
+//     retried without backoff. On exhaustion the section falls back to the
+//     real lock — acquired with the sync::spinlock protocols through
+//     executor lock-word RMWs — and runs via TxCtx::elide_fallback so heap
+//     scoping and the check recorder see the same unit shape as an elided
+//     section.
 //   * Per-lock statistics (attempts, elided commits, fallbacks, wasted
 //     cycles) feed the PMU through the runtime's TraceSink, and a txlock
 //     style self-stop permanently disables elision on locks whose wasted
@@ -48,18 +49,17 @@ using sim::Cycles;
 using sim::Word;
 
 // Per-lock elision knobs. The retry policy defaults mirror the paper's
-// Algorithm 1 (8 attempts, no backoff); `subscribe = false` exists only for
-// the broken-elision canary the oracle must catch.
+// Algorithm 1 (8 attempts, immediate retry); `subscribe = false` exists only
+// for the broken-elision canary the oracle must catch.
 struct ElideConfig {
   core::RetryPolicy retry{};
   bool elision_enabled = true;  // false: every section takes the real lock
   bool subscribe = true;        // false: canary — do not subscribe the word
   // Self-stop heuristic (txlock "stops"): every `selfstop_window` completed
   // acquisitions, if wasted / (elided + wasted) speculative cycles exceeded
-  // `selfstop_wasted_share` for `selfstop_strikes` consecutive windows,
-  // elision is disabled permanently for this lock.
+  // 3/4 for `selfstop_strikes` consecutive windows, elision is disabled
+  // permanently for this lock.
   uint32_t selfstop_window = 64;
-  double selfstop_wasted_share = 0.75;
   uint32_t selfstop_strikes = 2;
 };
 
@@ -81,8 +81,8 @@ struct ElideStats {
 namespace detail {
 
 // State and policy shared by every elidable lock: identity (id, name, sink
-// registration), statistics, the self-stop window accounting, and the
-// speculative-attempt loop. Subclasses provide the word layout and the real
+// registration), statistics, the self-stop window accounting, and the one
+// elided-section path. Subclasses provide the word layout and the real
 // lock/unlock protocol.
 class LockBase {
  public:
@@ -103,31 +103,21 @@ class LockBase {
   LockBase(core::TxRuntime& rt, std::string name, const ElideConfig& cfg,
            uint32_t nlines);
 
-  struct SpecResult {
-    bool committed = false;  // an attempt committed; acquisition accounted
-    uint64_t attempts = 0;   // speculative attempts consumed
-    Cycles wasted = 0;       // cycles burned in non-committing attempts
-  };
-
-  // The speculative part of a section: attempts `body` under the retry
+  // One elided section. Attempts `body` speculatively under the retry
   // budget with `subscribed_word` watched (0 = unsubscribed canary mode).
   // `more_free`, when set, is evaluated *inside* the speculation (through
   // transactional loads) and bails the attempt as busy when false — used by
-  // composite locks to also require e.g. readers == 0. On `committed` the
-  // acquisition is fully accounted; otherwise the caller takes the real
-  // lock, runs the fallback, and calls account() with the returned tallies.
-  SpecResult speculate(core::TxCtx& ctx, util::FnRef<void()> body,
-                       Addr subscribed_word,
-                       const std::function<bool()>& more_free);
+  // composite locks to also require e.g. readers == 0. On exhaustion it
+  // takes the real lock with `acquire`, runs the body through
+  // TxCtx::elide_fallback (calling `release` if it throws), calls `release`
+  // and accounts the fallback acquisition.
+  void section(core::TxCtx& ctx, util::FnRef<void()> body,
+               Addr subscribed_word, const std::function<bool()>& more_free,
+               util::FnRef<void()> acquire, util::FnRef<void()> release);
 
   // Reports a non-speculative acquisition (lock()/locked_section) so
   // acquisition counts stay comparable across modes.
   void note_locked_acquire(core::TxCtx& ctx);
-
-  // Completes per-acquisition accounting: stats, PMU mirroring, and the
-  // self-stop window.
-  void account(core::TxCtx& ctx, obs::ElideAcqKind kind, uint64_t attempts,
-               Cycles elided_c, Cycles wasted_c);
 
   Addr subscribed(Addr word) const { return cfg_.subscribe ? word : 0; }
   uint32_t site() const { return site_; }
@@ -137,6 +127,11 @@ class LockBase {
   ElideStats stats_;
 
  private:
+  // Completes per-acquisition accounting: stats, PMU mirroring, and the
+  // self-stop window.
+  void account(core::TxCtx& ctx, obs::ElideAcqKind kind, uint64_t attempts,
+               Cycles elided_c, Cycles wasted_c);
+
   uint32_t id_;
   uint32_t site_;  // trace-site label for elided attempts
   std::string name_;
@@ -209,9 +204,6 @@ class shared_mutex : public detail::LockBase {
 
   Addr writer_word() const { return base(); }
   Addr reader_word() const { return base() + sim::kLineBytes; }
-
- private:
-  void lock_shared_slow(core::TxCtx& ctx);
 };
 
 // Shared / update / exclusive lock in the InnoDB sux_lock shape: update

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -80,15 +79,13 @@ void Runner::run(std::vector<Job> jobs) {
   const unsigned workers =
       static_cast<unsigned>(std::min<size_t>(jobs_, n ? n : 1));
 
-  // Resolve the progress policy once: quiet wins, then the environment,
-  // then the explicit assume_tty override, then auto-detection (an injected
-  // progress_stream is a test seam that wants the lines; plain stderr emits
-  // only when it is a terminal, so redirected logs stay clean).
+  // Resolve the progress policy once: quiet wins, then the explicit
+  // assume_tty override, then auto-detection (an injected progress_stream is
+  // a test seam that wants the lines; plain stderr emits only when it is a
+  // terminal, so redirected logs stay clean).
   bool progress_on = !opt_.quiet;
   if (progress_on) {
-    if (const char* env = std::getenv("TSXLAB_PROGRESS")) {
-      progress_on = std::strcmp(env, "0") != 0;
-    } else if (opt_.assume_tty >= 0) {
+    if (opt_.assume_tty >= 0) {
       progress_on = opt_.assume_tty != 0;
     } else if (opt_.progress_stream) {
       progress_on = true;

@@ -85,9 +85,8 @@ struct RunnerOptions {
   bool quiet = false;
   // Progress-line policy: -1 = auto (emit only when the destination is a
   // terminal — a set progress_stream counts as one, otherwise isatty on
-  // stderr), 0 = force off, 1 = force on. The TSXLAB_PROGRESS environment
-  // variable ("0" off, anything else on) overrides this; quiet overrides
-  // everything. Keeps redirected logs free of throttled status lines.
+  // stderr), 0 = force off, 1 = force on (--progress); quiet overrides it.
+  // Keeps redirected logs free of throttled status lines.
   int assume_tty = -1;
   // Optional extra manifest members (obs::Registry::write_manifest_members
   // renders the counter digests and lock/heap totals). Called once, after

@@ -1,7 +1,5 @@
 #include "htm/rtm.h"
 
-#include <algorithm>
-
 #include "obs/trace_sink.h"
 
 namespace tsx::htm {
@@ -94,34 +92,8 @@ AbortClass RtmExecutor::classify(const AttemptResult& r, uint64_t lock_line) {
   return AbortClass::kMisc5;
 }
 
-void RtmExecutor::record(RtmStats& s, const AttemptResult& r,
-                         uint64_t lock_line) {
-  ++s.attempts;
-  if (r.committed) {
-    ++s.commits;
-    s.cycles_committed += r.cycles;
-    return;
-  }
-  s.cycles_aborted += r.cycles;
-  ++s.aborts_by_class[static_cast<size_t>(classify(r, lock_line))];
-  ++s.aborts_by_reason[static_cast<size_t>(r.reason)];
-}
-
 void RtmExecutor::execute(util::FnRef<void()> body, uint32_t site) {
-  // Hold an index, not a pointer: body() may yield to another fiber whose
-  // execute() appends a new site and reallocates sites_ underneath us.
-  size_t site_idx = sites_.size();
-  for (size_t i = 0; i < sites_.size(); ++i) {
-    if (sites_[i].first == site) {
-      site_idx = i;
-      break;
-    }
-  }
-  if (site_idx == sites_.size()) {
-    sites_.emplace_back(site, RtmStats{});
-  }
-  ++total_.transactions;
-  ++sites_[site_idx].second.transactions;
+  size_t site_idx = ledger_.open(site);
   if (sink_) sink_->set_site(m_.current_ctx(), site);
 
   uint32_t retries = 0;
@@ -142,21 +114,17 @@ void RtmExecutor::execute(util::FnRef<void()> body, uint32_t site) {
     } else {
       hooks_.on_abort();
     }
-    record(total_, r, lock_line_);
-    record(sites_[site_idx].second, r, lock_line_);
+    AbortClass cls = classify(r, lock_line_);
+    ledger_.record(site_idx, r, cls);
     if (r.committed) return;
 
     // The paper: if the abort says the serial lock was (or is being) held,
     // wait for it to be released before retrying.
-    if (classify(r, lock_line_) == AbortClass::kLock) {
+    if (cls == AbortClass::kLock) {
       while (!lock_.read_can_lock()) m_.pause();
     }
     if (policy_.exhausted(retries)) break;
-    // With the default kNone shape this is 0 and must not reach compute():
-    // an extra scheduling point would perturb deterministic schedules.
-    Cycles wait = policy_.backoff_cycles(retries, m_.setup_rng());
-    if (sink_) sink_->retry_decision(m_.current_ctx(), m_.now(), false, wait);
-    if (wait) m_.compute(wait);
+    if (sink_) sink_->retry_decision(m_.current_ctx(), m_.now(), false, 0);
   }
 
   // Serial fallback. With kNoSubscription this is unsafe against running
@@ -164,8 +132,6 @@ void RtmExecutor::execute(util::FnRef<void()> body, uint32_t site) {
   // aborts all of them via the lock line.
   if (sink_) sink_->retry_decision(m_.current_ctx(), m_.now(), true, 0);
   Cycles t0 = m_.now();
-  ++total_.fallbacks;
-  ++sites_[site_idx].second.fallbacks;
   per_ctx_[m_.current_ctx()].in_fallback = true;
   lock_.write_lock();
   hooks_.on_begin();
@@ -180,14 +146,41 @@ void RtmExecutor::execute(util::FnRef<void()> body, uint32_t site) {
   hooks_.on_commit();
   lock_.write_unlock();
   per_ctx_[m_.current_ctx()].in_fallback = false;
-  Cycles dt = m_.now() - t0;
-  total_.cycles_fallback += dt;
-  sites_[site_idx].second.cycles_fallback += dt;
+  ledger_.fallback(site_idx, m_.now() - t0);
 }
 
-RtmStats RtmExecutor::stats() const { return total_; }
+size_t AttemptLedger::open(uint32_t site) {
+  size_t idx = 0;
+  while (idx < sites_.size() && sites_[idx].first != site) ++idx;
+  if (idx == sites_.size()) sites_.emplace_back(site, RtmStats{});
+  ++total_.transactions;
+  ++sites_[idx].second.transactions;
+  return idx;
+}
 
-RtmStats RtmExecutor::site_stats(uint32_t site) const {
+void AttemptLedger::record(size_t idx, const AttemptResult& r,
+                           AbortClass cls) {
+  for (RtmStats* s : {&total_, &sites_[idx].second}) {
+    ++s->attempts;
+    if (r.committed) {
+      ++s->commits;
+      s->cycles_committed += r.cycles;
+      continue;
+    }
+    s->cycles_aborted += r.cycles;
+    ++s->aborts_by_class[static_cast<size_t>(cls)];
+    ++s->aborts_by_reason[static_cast<size_t>(r.reason)];
+  }
+}
+
+void AttemptLedger::fallback(size_t idx, Cycles cycles) {
+  for (RtmStats* s : {&total_, &sites_[idx].second}) {
+    ++s->fallbacks;
+    s->cycles_fallback += cycles;
+  }
+}
+
+RtmStats AttemptLedger::site(uint32_t site) const {
   for (const auto& [id, st] : sites_) {
     if (id == site) return st;
   }

@@ -16,10 +16,11 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/retry_policy.h"
+#include "core/scope_hooks.h"
 #include "sim/machine.h"
 #include "sim/types.h"
 #include "sync/spinlock.h"
@@ -98,23 +99,35 @@ struct RtmStats {
   void merge(const RtmStats& o);
 };
 
-// Hooks bracketing every speculative attempt and the fallback execution,
-// used by the simulated heap to undo allocations of aborted attempts.
-struct ScopeHooks {
-  std::function<void()> begin;
-  std::function<void()> commit;
-  std::function<void()> abort;
+// The hardware-attempt ledger of one executor: total and per-site RtmStats.
+// RtmExecutor and the Hybrid TM executor both account through it.
+class AttemptLedger {
+ public:
+  // Counts one execute() call at `site` and returns the site's index. Hold
+  // the index, not a pointer: the body may yield to a fiber whose execute()
+  // appends a new site and reallocates the table.
+  size_t open(uint32_t site);
+  // Counts one attempt; `cls` is the caller's bucket for an abort.
+  void record(size_t idx, const AttemptResult& r, AbortClass cls);
+  // Counts one fallback execution that took `cycles`.
+  void fallback(size_t idx, Cycles cycles);
 
-  void on_begin() const { if (begin) begin(); }
-  void on_commit() const { if (commit) commit(); }
-  void on_abort() const { if (abort) abort(); }
+  const RtmStats& total() const { return total_; }
+  // Per-site view (sites not seen return zeroed stats).
+  RtmStats site(uint32_t site) const;
+  const std::vector<std::pair<uint32_t, RtmStats>>& sites() const {
+    return sites_;
+  }
+
+ private:
+  RtmStats total_;
+  std::vector<std::pair<uint32_t, RtmStats>> sites_;
 };
 
 // Algorithm 1: transactional execution with serial-lock fallback. One
-// executor per Machine; all threads share it (its mutable statistics are
-// per-context, merged on demand, so fibers never race on counters — not
-// that they could, single host thread). Attempt budget, backoff shape and
-// lock-subscription mode all come from the core::RetryPolicy.
+// executor per Machine; all threads share it. A failed attempt is retried
+// immediately; the attempt budget and lock-subscription mode come from the
+// core::RetryPolicy.
 class RtmExecutor {
  public:
   // `lock_base` must point at SerialRwLock::kFootprintBytes of simulated
@@ -124,11 +137,11 @@ class RtmExecutor {
   // Host-side initialization of the lock words.
   void init();
 
-  void set_scope_hooks(ScopeHooks hooks) { hooks_ = std::move(hooks); }
+  void set_scope_hooks(core::ScopeHooks hooks) { hooks_ = std::move(hooks); }
 
   // Optional observability sink (src/obs): execute() declares the call site
-  // to it and reports every retry-policy decision (backoff length, fallback
-  // taken). Begin/commit/abort events flow via the machine's ObsHooks.
+  // to it and reports every retry-policy decision (retry or fallback).
+  // Begin/commit/abort events flow via the machine's ObsHooks.
   void set_sink(obs::TraceSink* sink) { sink_ = sink; }
 
   // Executes `body` atomically: hardware transaction with retry, then
@@ -145,11 +158,11 @@ class RtmExecutor {
   const core::RetryPolicy& policy() const { return policy_; }
 
   // Aggregate statistics across all contexts / sites.
-  RtmStats stats() const;
+  RtmStats stats() const { return ledger_.total(); }
   // Per-site view (sites not seen return zeroed stats).
-  RtmStats site_stats(uint32_t site) const;
+  RtmStats site_stats(uint32_t site) const { return ledger_.site(site); }
   const std::vector<std::pair<uint32_t, RtmStats>>& all_site_stats() const {
-    return sites_;
+    return ledger_.sites();
   }
 
   static AbortClass classify(const AttemptResult& r, uint64_t lock_line);
@@ -159,17 +172,14 @@ class RtmExecutor {
     bool in_fallback = false;
   };
 
-  void record(RtmStats& s, const AttemptResult& r, uint64_t lock_line);
-
   Machine& m_;
   sync::SerialRwLock lock_;
   core::RetryPolicy policy_;
-  ScopeHooks hooks_;
+  core::ScopeHooks hooks_;
   obs::TraceSink* sink_ = nullptr;
   uint64_t lock_line_;
   std::array<PerCtx, sim::kMaxCtxs> per_ctx_{};
-  RtmStats total_;
-  std::vector<std::pair<uint32_t, RtmStats>> sites_;
+  AttemptLedger ledger_;
 };
 
 }  // namespace tsx::htm

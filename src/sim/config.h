@@ -92,10 +92,6 @@ struct MachineConfig {
   uint64_t seed = 0x7a117a11;
 
   EnergyParams energy{};
-
-  // Fiber stacks for workload code (rb-tree rebalancing etc. is iterative,
-  // but app logic may use moderate recursion).
-  size_t fiber_stack_bytes = 512 * 1024;
 };
 
 }  // namespace tsx::sim

@@ -6,6 +6,14 @@
 
 namespace tsx::sim {
 
+namespace {
+
+// Fiber stacks for workload code (rb-tree rebalancing etc. is iterative,
+// but app logic may use moderate recursion).
+constexpr size_t kFiberStackBytes = 512 * 1024;
+
+}  // namespace
+
 Cycles Machine::interrupt_gate_for(double next_interrupt) {
   // 2^63 comfortably exceeds any simulated clock; casting infinity (the
   // interrupts-disabled sentinel) would be UB.
@@ -73,8 +81,7 @@ void Machine::set_obs_hooks(ObsHooks hooks, Cycles sample_window_cycles) {
 void Machine::set_thread(CtxId ctx, ThreadFn fn) {
   if (ctx >= num_threads_) throw std::invalid_argument("bad ctx id");
   if (ctxs_[ctx].fiber) throw std::logic_error("thread already set");
-  ctxs_[ctx].fiber =
-      std::make_unique<Fiber>(cfg_.fiber_stack_bytes, std::move(fn));
+  ctxs_[ctx].fiber = std::make_unique<Fiber>(kFiberStackBytes, std::move(fn));
 }
 
 void Machine::throw_off_fiber() {
@@ -380,22 +387,6 @@ Word Machine::fetch_add_general(Addr addr, Word delta) {
     trace_.on_access(c.id, addr, old, old, /*is_write=*/false, c.tx.active);
     trace_.on_access(c.id, addr, old, old + delta, /*is_write=*/true,
                      c.tx.active);
-  }
-  maybe_yield();
-  return old;
-}
-
-Word Machine::swap(Addr addr, Word value) {
-  op_prologue();
-  mem_access(addr, /*is_write=*/true);
-  check_doomed();
-  SimContext& c = cur();
-  advance(4, 0);
-  Word old = mem_.backing().peek(addr);
-  if (c.tx.active) c.tx.undo.emplace_back(addr, old);
-  mem_.backing().poke(addr, value);
-  if (trace_.on_access) {
-    trace_.on_access(c.id, addr, old, value, /*is_write=*/true, c.tx.active);
   }
   maybe_yield();
   return old;

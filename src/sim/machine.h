@@ -74,8 +74,8 @@ struct TxAborted {
 struct TraceHooks {
   // One data access. `old_value` is the pre-op value of the word (equal to
   // `value` for reads), `in_tx` whether the context was inside a live
-  // hardware transaction. RMW ops (cas/fetch_add/swap) fire a read followed
-  // by a write; a failed CAS fires only the read.
+  // hardware transaction. RMW ops (cas/fetch_add) fire a read followed by a
+  // write; a failed CAS fires only the read.
   std::function<void(CtxId, Addr addr, Word old_value, Word value,
                      bool is_write, bool in_tx)>
       on_access;
@@ -134,7 +134,6 @@ class Machine {
   // Atomic ops: one exclusive access; the bool result reports CAS success.
   bool cas(Addr addr, Word expected, Word desired);
   Word fetch_add(Addr addr, Word delta);
-  Word swap(Addr addr, Word value);
   void compute(Cycles cycles);
   void pause(Cycles cycles = 40);  // _mm_pause-style busy-wait hint
 

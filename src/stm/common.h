@@ -14,8 +14,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/retry_policy.h"
+#include "core/scope_hooks.h"
 #include "sim/machine.h"
+#include "sim/rng.h"
 #include "sim/types.h"
 #include "util/fn_ref.h"
 
@@ -77,23 +78,23 @@ struct StmConfig {
   // that, distinct addresses share stripes and cause false conflicts — the
   // effect behind TinySTM's behaviour at 16 MB working sets in Fig. 3.
   uint32_t lock_table_entries = 1u << 20;
-  uint32_t stripe_shift = 3;  // hash (addr >> 3): word granularity
-  // Suicide-with-backoff contention management.
-  Cycles backoff_base_cycles = 120;
-  uint32_t backoff_cap_shift = 10;
-  // Per-entry simulated cost of maintaining the private logs (beyond the
-  // simulated stores to the log rings themselves).
-  Cycles log_maintain_cycles = 1;
 };
+
+// Per-entry simulated cost of maintaining the private logs (beyond the
+// simulated stores to the log rings themselves).
+inline constexpr Cycles kLogMaintainCycles = 1;
 
 // Versioned-lock table in simulated memory. Lock word encoding:
 //   bit 0      : locked
 //   bits 1..63 : version (when unlocked) or owner ctx id (when locked)
 class LockTable {
  public:
+  // Stripes hash (addr >> 3): word granularity.
+  static constexpr uint32_t kStripeShift = 3;
+
   LockTable(Machine& m, Addr base, const StmConfig& cfg)
       : m_(m), base_(base), mask_(cfg.lock_table_entries - 1),
-        shift_(cfg.stripe_shift), entries_(cfg.lock_table_entries) {}
+        entries_(cfg.lock_table_entries) {}
 
   // Marks the table's pages present; they read 0, so every entry starts
   // unlocked at version 0 (library startup cost, outside measured regions).
@@ -101,7 +102,7 @@ class LockTable {
   void init();
 
   Addr lock_addr(Addr data_addr) const {
-    uint64_t stripe = (data_addr >> shift_) & mask_;
+    uint64_t stripe = (data_addr >> kStripeShift) & mask_;
     return base_ + stripe * sim::kWordBytes;
   }
 
@@ -119,7 +120,6 @@ class LockTable {
   Machine& m_;
   Addr base_;
   uint64_t mask_;
-  uint32_t shift_;
   uint64_t entries_;
 };
 
@@ -198,39 +198,26 @@ class StmSystem {
   std::function<void(CtxId)> serialize_hook_;
 };
 
-// Hooks so the simulated heap can undo allocations made in aborted attempts.
-struct ScopeHooks {
-  std::function<void()> begin;
-  std::function<void()> commit;
-  std::function<void()> abort;
-
-  void on_begin() const { if (begin) begin(); }
-  void on_commit() const { if (commit) commit(); }
-  void on_abort() const { if (abort) abort(); }
-};
-
-// Retry loop with suicide contention management. The wait between attempts
-// is delegated to a core::RetryPolicy (randomized exponential backoff by
-// default, matching TinySTM); the attempt budget is unbounded because an
-// STM has no fallback path — it retries until it commits.
+// Retry loop with suicide contention management: an STM has no fallback
+// path, so it retries until it commits, waiting a randomized exponential
+// backoff between attempts as TinySTM does.
 class StmExecutor {
  public:
-  StmExecutor(Machine& m, StmSystem& stm, StmConfig cfg = {}) : m_(m), stm_(stm) {
-    policy_.max_attempts = 0;  // unbounded: no fallback
-    policy_.subscription = core::LockSubscription::kNone;  // no lock to watch
-    policy_.backoff = core::BackoffShape::kExponential;
-    policy_.backoff_base_cycles = cfg.backoff_base_cycles;
-    policy_.backoff_cap_shift = cfg.backoff_cap_shift;
-  }
+  StmExecutor(Machine& m, StmSystem& stm) : m_(m), stm_(stm) {}
 
-  void set_scope_hooks(ScopeHooks hooks) { hooks_ = std::move(hooks); }
+  // The wait before the attempt following `attempt_no` failed tries:
+  // kBackoffBaseCycles plus one rng draw below the window
+  // kBackoffBaseCycles << min(attempt_no, kBackoffCapShift).
+  static constexpr Cycles kBackoffBaseCycles = 120;
+  static constexpr uint32_t kBackoffCapShift = 10;
+  static Cycles backoff_cycles(uint32_t attempt_no, sim::Rng& rng);
+
+  void set_scope_hooks(core::ScopeHooks hooks) { hooks_ = std::move(hooks); }
 
   // Optional observability sink (src/obs): attempt lifecycle and
   // contention-manager backoff decisions for software transactions, which
   // never pass through the machine's hardware-tx hooks.
   void set_sink(obs::TraceSink* sink) { sink_ = sink; }
-
-  const core::RetryPolicy& retry_policy() const { return policy_; }
 
   // Executes `body` as one atomic STM transaction (retrying as needed).
   // The body routes its shared-memory accesses through tx_read/tx_write of
@@ -245,10 +232,12 @@ class StmExecutor {
   bool execute_once(util::FnRef<void()> body, uint32_t site = 0);
 
  private:
+  // One attempt: start, body, then commit or cleanup. True on commit.
+  bool attempt(util::FnRef<void()> body, uint32_t site);
+
   Machine& m_;
   StmSystem& stm_;
-  core::RetryPolicy policy_;
-  ScopeHooks hooks_;
+  core::ScopeHooks hooks_;
   obs::TraceSink* sink_ = nullptr;
 };
 

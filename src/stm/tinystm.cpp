@@ -9,18 +9,11 @@ constexpr uint64_t kLogRingBytes = 256 * 1024;
 TinyStm::TinyStm(Machine& m, Addr region_base, StmConfig cfg)
     : StmSystem(m),
       clock_addr_(region_base),
-      locks_(m, region_base + sim::kLineBytes, cfg),
-      cfg_(cfg) {
+      locks_(m, region_base + sim::kLineBytes, cfg) {
   Addr log_base = region_base + sim::kLineBytes + locks_.bytes();
   for (CtxId c = 0; c < sim::kMaxCtxs; ++c) {
     tx_[c].log = LogRing(&m_, log_base + c * kLogRingBytes, kLogRingBytes);
   }
-}
-
-uint64_t TinyStm::region_bytes(const StmConfig& cfg) {
-  return sim::kLineBytes +
-         static_cast<uint64_t>(cfg.lock_table_entries) * sim::kWordBytes +
-         sim::kMaxCtxs * kLogRingBytes;
 }
 
 void TinyStm::init() {
@@ -70,7 +63,7 @@ Word TinyStm::tx_read(CtxId ctx, Addr addr) {
   if (LockTable::is_locked(lw)) {
     if (LockTable::owner_of(lw) == ctx) {
       // Read-after-write: serve from the write log.
-      m_.compute(cfg_.log_maintain_cycles);
+      m_.compute(kLogMaintainCycles);
       if (uint32_t* p = tx.write_index.find(addr)) {
         return tx.write_list[*p].second;
       }
@@ -125,7 +118,7 @@ void TinyStm::tx_write(CtxId ctx, Addr addr, Word value) {
     }
     tx.locks.push_back({la, lw});
   }
-  m_.compute(cfg_.log_maintain_cycles);
+  m_.compute(kLogMaintainCycles);
   if (uint32_t* p = tx.write_index.find(addr)) {
     tx.write_list[*p].second = value;
   } else {

@@ -32,8 +32,6 @@ class TinyStm final : public StmSystem {
   void tx_abort_cleanup(CtxId ctx) override;
   bool tx_active(CtxId ctx) const override { return tx_[ctx].active; }
 
-  static uint64_t region_bytes(const StmConfig& cfg);
-
   // Metadata addresses, exposed for the Hybrid TM executor: hardware
   // transactions subscribe to the stripe of every accessed word and publish
   // committed writes by bumping the clock and the written stripes' versions,
@@ -68,7 +66,6 @@ class TinyStm final : public StmSystem {
 
   Addr clock_addr_;
   LockTable locks_;
-  StmConfig cfg_;
   std::array<TxDesc, sim::kMaxCtxs> tx_;
 };
 

@@ -9,18 +9,11 @@ constexpr uint64_t kLogRingBytes = 256 * 1024;
 Tl2::Tl2(Machine& m, Addr region_base, StmConfig cfg)
     : StmSystem(m),
       clock_addr_(region_base),
-      locks_(m, region_base + sim::kLineBytes, cfg),
-      cfg_(cfg) {
+      locks_(m, region_base + sim::kLineBytes, cfg) {
   Addr log_base = region_base + sim::kLineBytes + locks_.bytes();
   for (CtxId c = 0; c < sim::kMaxCtxs; ++c) {
     tx_[c].log = LogRing(&m_, log_base + c * kLogRingBytes, kLogRingBytes);
   }
-}
-
-uint64_t Tl2::region_bytes(const StmConfig& cfg) {
-  return sim::kLineBytes +
-         static_cast<uint64_t>(cfg.lock_table_entries) * sim::kWordBytes +
-         sim::kMaxCtxs * kLogRingBytes;
 }
 
 void Tl2::init() {
@@ -46,7 +39,7 @@ void Tl2::tx_start(CtxId ctx) {
 Word Tl2::tx_read(CtxId ctx, Addr addr) {
   TxDesc& tx = tx_[ctx];
   // Read-after-write served from the redo log.
-  m_.compute(cfg_.log_maintain_cycles);
+  m_.compute(kLogMaintainCycles);
   if (uint32_t* p = tx.write_index.find(addr)) {
     return tx.write_list[*p].second;
   }
@@ -75,7 +68,7 @@ Word Tl2::tx_read(CtxId ctx, Addr addr) {
 
 void Tl2::tx_write(CtxId ctx, Addr addr, Word value) {
   TxDesc& tx = tx_[ctx];
-  m_.compute(cfg_.log_maintain_cycles);
+  m_.compute(kLogMaintainCycles);
   if (uint32_t* p = tx.write_index.find(addr)) {
     tx.write_list[*p].second = value;
   } else {

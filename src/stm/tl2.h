@@ -27,8 +27,6 @@ class Tl2 final : public StmSystem {
   void tx_abort_cleanup(CtxId ctx) override;
   bool tx_active(CtxId ctx) const override { return tx_[ctx].active; }
 
-  static uint64_t region_bytes(const StmConfig& cfg);
-
  private:
   struct ReadEntry {
     Addr lock_addr;
@@ -49,7 +47,6 @@ class Tl2 final : public StmSystem {
 
   Addr clock_addr_;
   LockTable locks_;
-  StmConfig cfg_;
   std::array<TxDesc, sim::kMaxCtxs> tx_;
 };
 

@@ -4,6 +4,8 @@
 #   * fig07, table1 and fig12: --fast stdout (with the window exporters on,
 #     which must not perturb a simulated byte), perf-stat report and PMU
 #     counter digest;
+#   * server_kv, server_orderbook and server_inventory: the --fast stdout
+#     scoreboard, per-phase table included;
 #   * every obs exporter's bytes (tests/obs_outputs.sh), at --jobs 1 and at
 #     --jobs 4 against the same hashes;
 #   * what only some runs write: data rows from --timeseries alone, and the
@@ -36,6 +38,11 @@ for d in fig07:fig07_contention table1:table1_overhead \
   diff -u "$goldens/${g}_perf_stat.txt" "$g.ps.txt"
   grep counter_digest "$g.mf.json" | grep -o '0x[0-9a-f]*' > "$g.digest"
   diff -u "$goldens/${g}_counter_digest.txt" "$g.digest"
+done
+
+for s in kv orderbook inventory; do
+  "$bench/server_$s" --fast --csv --jobs=4 > "server_$s.csv.txt" 2> /dev/null
+  diff -u "$goldens/server_${s}_fast_csv.txt" "server_$s.csv.txt"
 done
 
 for jobs in 1 4; do

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -298,7 +297,7 @@ TEST(RunCells, ManifestListsOneJobPerCell) {
 }
 
 // Progress-line policy: redirected output (stderr not a TTY) must stay free
-// of throttled status lines, with --progress / TSXLAB_PROGRESS overrides.
+// of throttled status lines, with a --progress override.
 TEST(Runner, ProgressForcedOffEmitsNothing) {
   std::ostringstream progress;
   RunnerOptions opt;
@@ -327,21 +326,6 @@ TEST(Runner, ProgressForcedOnEmitsFinalSummary) {
             std::string::npos)
       << progress.str();
   EXPECT_NE(progress.str().find("(done)"), std::string::npos);
-}
-
-TEST(Runner, ProgressEnvOverridesAssumeTty) {
-  ASSERT_EQ(setenv("TSXLAB_PROGRESS", "0", 1), 0);
-  std::ostringstream progress;
-  RunnerOptions opt;
-  opt.jobs = 1;
-  opt.progress_stream = &progress;
-  opt.assume_tty = 1;  // env wins over the forced-on override
-  Runner r(opt);
-  std::vector<Job> js(2);
-  for (Job& j : js) j.fn = [] {};
-  r.run(std::move(js));
-  unsetenv("TSXLAB_PROGRESS");
-  EXPECT_EQ(progress.str(), "");
 }
 
 TEST(Digest, OrderAndValueSensitive) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "check/oracle.h"
 #include "core/runtime.h"
 
@@ -113,6 +115,35 @@ TEST(Hybrid, StmFallbackAndHardwareAttemptsShareOneCounterExactly) {
   // Per-site stats survive the hybrid path: all fallbacks belong to site 2.
   EXPECT_EQ(r.site_stats(1).fallbacks, 0u);
   EXPECT_EQ(r.site_stats(2).fallbacks, static_cast<uint64_t>(big_iters));
+}
+
+// A raw RMW inside a hardware attempt would write the word without
+// publishing its stripe, so STM readers could miss the write. Hybrid rejects
+// it as TinySTM does; RTM keeps raw RMWs, whose line joins the write set.
+TEST(Hybrid, RawRmwInsideHardwareAttemptThrows) {
+  for (bool use_cas : {true, false}) {
+    for (Backend b : {Backend::kHybrid, Backend::kRtm}) {
+      TxRuntime rt(make_cfg(b, 1));
+      Addr data = rt.heap().host_alloc(8, 64);
+      auto run = [&] {
+        rt.run([&](TxCtx& ctx) {
+          ctx.transaction([&] {
+            if (use_cas) {
+              ctx.cas(data, 0, 1);
+            } else {
+              ctx.fetch_add(data, 1);
+            }
+          });
+        });
+      };
+      if (b == Backend::kHybrid) {
+        EXPECT_THROW(run(), std::logic_error) << (use_cas ? "cas" : "fetch_add");
+      } else {
+        run();
+        EXPECT_EQ(rt.machine().peek(data), 1u);
+      }
+    }
+  }
 }
 
 TEST(Hybrid, OracleWorkloadsSerializableAndDigestMatchesLock) {

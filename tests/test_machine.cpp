@@ -297,7 +297,6 @@ TEST(Machine, CasSucceedsAndFails) {
     EXPECT_EQ(m.load(0x1000), 6u);
     EXPECT_EQ(m.fetch_add(0x1000, 10), 6u);
     EXPECT_EQ(m.load(0x1000), 16u);
-    EXPECT_EQ(m.swap(0x1000, 1), 16u);
   });
   m.run();
 }

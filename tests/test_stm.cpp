@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/machine.h"
 #include "stm/tinystm.h"
 #include "stm/tl2.h"
@@ -84,7 +86,7 @@ TYPED_TEST(StmTest, ExecutorCountsCorrectlyUnderContention) {
   Machine* mp = &m;
   auto stm = make_stm<TypeParam>(m, cfg);
   stm->init();
-  StmExecutor exec(m, *stm, cfg);
+  StmExecutor exec(m, *stm);
   const int iters = 250;
   for (CtxId t = 0; t < 4; ++t) {
     m.set_thread(t, [&, t] {
@@ -111,7 +113,7 @@ TYPED_TEST(StmTest, IsolationNoDirtyReads) {
   StmConfig cfg = small_cfg();
   auto stm = make_stm<TypeParam>(m, cfg);
   stm->init();
-  StmExecutor exec(m, *stm, cfg);
+  StmExecutor exec(m, *stm);
   bool torn = false;
   m.set_thread(0, [&] {
     for (int i = 1; i <= 50; ++i) {
@@ -144,7 +146,8 @@ TYPED_TEST(StmTest, FalseConflictsViaStripeAliasing) {
   auto stm = make_stm<TypeParam>(m, cfg);
   stm->init();
   Addr a1 = kData;
-  Addr a2 = kData + (static_cast<Addr>(cfg.lock_table_entries) << cfg.stripe_shift);
+  Addr a2 = kData + (static_cast<Addr>(cfg.lock_table_entries)
+                     << LockTable::kStripeShift);
   m.prefault(a1, 4096);
   m.prefault(a2, 4096);
   m.set_thread(0, [&] {
@@ -166,7 +169,7 @@ TEST(TinyStm, TimestampExtensionHappens) {
   StmConfig cfg = small_cfg();
   TinyStm stm(m, kStmBase, cfg);
   stm.init();
-  StmExecutor exec(m, stm, cfg);
+  StmExecutor exec(m, stm);
   // Thread 1 commits writes to an unrelated word, advancing the clock;
   // thread 0 then reads a word whose version is newer than its snapshot.
   m.set_thread(0, [&] {
@@ -197,7 +200,7 @@ TEST(TinyStm, WriteAfterReadDetectsInterveningCommit) {
   StmConfig cfg = small_cfg();
   TinyStm stm(m, kStmBase, cfg);
   stm.init();
-  StmExecutor exec(m, stm, cfg);
+  StmExecutor exec(m, stm);
   m.set_thread(0, [&] {
     exec.execute([&] {
       Word v = stm.tx_read(0, kData);
@@ -232,6 +235,19 @@ TEST(Tl2, CommitTimeLockingLeavesStripesCleanOnAbort) {
   });
   m.run();
   EXPECT_EQ(m.peek(kData), 43u);
+}
+
+TEST(StmExecutor, BackoffDrawsTinyStmExponentialWindow) {
+  // TinySTM's suicide backoff: 120 cycles plus one draw below a window that
+  // doubles per failed attempt and stops growing after 2^10.
+  tsx::sim::Rng rng(77), ref(77);
+  for (uint32_t attempt = 1; attempt <= 16; ++attempt) {
+    uint64_t window = uint64_t{120} << std::min(attempt, 10u);
+    uint64_t expect = 120 + ref.below(window | 1);
+    EXPECT_EQ(StmExecutor::backoff_cycles(attempt, rng), expect);
+  }
+  // Exactly one draw per call.
+  EXPECT_EQ(rng.next(), ref.next());
 }
 
 TEST(StmStats, AbortCauseNames) {
