@@ -6,6 +6,7 @@
 #     counter digest;
 #   * server_kv, server_orderbook and server_inventory: the --fast stdout
 #     scoreboard, per-phase table included;
+#   * extension_hle_vs_rtm: the --fast stdout table;
 #   * every obs exporter's bytes (tests/obs_outputs.sh), at --jobs 1 and at
 #     --jobs 4 against the same hashes;
 #   * what only some runs write: data rows from --timeseries alone, and the
@@ -40,9 +41,9 @@ for d in fig07:fig07_contention table1:table1_overhead \
   diff -u "$goldens/${g}_counter_digest.txt" "$g.digest"
 done
 
-for s in kv orderbook inventory; do
-  "$bench/server_$s" --fast --csv --jobs=4 > "server_$s.csv.txt" 2> /dev/null
-  diff -u "$goldens/server_${s}_fast_csv.txt" "server_$s.csv.txt"
+for bin in server_kv server_orderbook server_inventory extension_hle_vs_rtm; do
+  "$bench/$bin" --fast --csv --jobs=4 > "$bin.csv.txt" 2> /dev/null
+  diff -u "$goldens/${bin}_fast_csv.txt" "$bin.csv.txt"
 done
 
 for jobs in 1 4; do
