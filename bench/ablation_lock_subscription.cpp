@@ -7,9 +7,9 @@
 // running and abort later for other reasons — avoiding lock aborts does not
 // necessarily help because they mask other abort types.
 //
-// LockSubscription::kNone is measured only on a workload whose fallback body is
-// idempotent-safe here (shared counter with ticketed stores would be unsafe
-// in general; we use it to show WHY subscription is required: lost updates).
+// Both modes still read the lock inside the transaction, so both are safe.
+// Dropping the in-transaction read is not a mode: a serial section could
+// then run concurrently with speculative ones and lose their updates.
 
 #include "bench/bench_common.h"
 #include "stamp/apps/intruder.h"

@@ -7,8 +7,6 @@
 // retry budget as contention grows, and ties it when sections are disjoint.
 
 #include "bench/bench_common.h"
-#include "htm/hle.h"
-#include "htm/rtm.h"
 #include "stamp/apps/app.h"
 
 using namespace tsx;
@@ -18,30 +16,23 @@ namespace {
 
 struct Point {
   double wall_mcycles;
-  double serial_rate;  // lock acquisitions (HLE) / fallbacks (RTM) per section
+  double serial_rate;  // fallbacks (report.rtm.fallbacks) per section
 };
 
 // `shared_fraction`: probability a section touches the shared line instead
 // of a thread-private one.
-Point run_sections(bool use_hle, double shared_fraction, int iters,
+Point run_sections(core::Backend backend, double shared_fraction, int iters,
                    uint64_t seed, bool verify, const std::string& obs_label) {
   core::RunConfig cfg;
-  cfg.backend = core::Backend::kSeq;
+  cfg.backend = backend;
   cfg.threads = 4;
   cfg.machine.seed = seed;
   cfg.seed = seed;
   apply_settings(cfg, obs_label);
   core::TxRuntime rt(cfg);
-  auto& m = rt.machine();
-  sim::Addr lock_mem = rt.heap().host_alloc(128, 64);
   sim::Addr shared = rt.heap().host_alloc(64, 64);
   std::array<sim::Addr, 4> priv{};
   for (int t = 0; t < 4; ++t) priv[t] = rt.heap().host_alloc(64, 64);
-
-  htm::HleLock hle(m, lock_mem);
-  hle.init();
-  htm::RtmExecutor rtm(m, lock_mem + 64);
-  rtm.init();
 
   HistoryVerifier verifier(rt, verify);
   rt.run([&](core::TxCtx& ctx) {
@@ -49,25 +40,19 @@ Point run_sections(bool use_hle, double shared_fraction, int iters,
     stamp::measured_region_begin(ctx);
     for (int i = 0; i < iters; ++i) {
       sim::Addr target = rng.chance(shared_fraction) ? shared : priv[ctx.id()];
-      auto body = [&] {
-        sim::Word v = m.load(target);
-        m.compute(40);
-        m.store(target, v + 1);
-      };
-      if (use_hle) {
-        hle.critical_section(body);
-      } else {
-        rtm.execute(body);
-      }
+      ctx.transaction([&] {
+        sim::Word v = ctx.load(target);
+        ctx.compute(40);
+        ctx.store(target, v + 1);
+      });
       ctx.compute(100);
     }
   });
-  verifier.check(use_hle ? "HLE sections" : "RTM sections");
-  auto rep = rt.report();
+  verifier.check(std::string(core::backend_name(backend)) + " sections");
+  core::RunReport rep = rt.report();
   double sections = 4.0 * iters;
-  double serial = use_hle ? hle.stats().lock_acquisitions
-                          : static_cast<double>(rtm.stats().fallbacks);
-  return {rep.wall_cycles / 1e6, serial / sections};
+  return {rep.wall_cycles / 1e6,
+          static_cast<double>(rep.rtm.fallbacks) / sections};
 }
 
 }  // namespace
@@ -83,13 +68,13 @@ int main(int argc, char** argv) {
   std::vector<Cell<Point>> cells;
   for (double f : fractions) {
     for (int rep = 0; rep < args.reps; ++rep) {
-      for (bool hle : {true, false}) {
+      for (core::Backend b : {core::Backend::kHle, core::Backend::kRtm}) {
         uint64_t seed = 9950 + rep;
         cells.push_back(
-            {"hle_vs_rtm:" + util::Table::fmt(f, 2) +
-                 (hle ? ":HLE:rep" : ":RTM:rep") + std::to_string(rep),
+            {"hle_vs_rtm:" + util::Table::fmt(f, 2) + ":" +
+                 core::backend_name(b) + ":rep" + std::to_string(rep),
              seed, [=, verify = args.verify](const std::string& label) {
-               return run_sections(hle, f, iters, seed, verify, label);
+               return run_sections(b, f, iters, seed, verify, label);
              }});
       }
     }

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   }
 
   const size_t reps = static_cast<size_t>(args.reps);
-  std::vector<Cell<StampRep>> cells;
+  std::vector<Cell<stamp::AppResult>> cells;
   for (const StampApp& app : apps) {
     for (const PolicySpec& p : policies) {
       for (uint32_t n : threads) {
@@ -70,14 +70,14 @@ int main(int argc, char** argv) {
                  // Per-cell policy override: the app lambda builds its
                  // RunConfig deep inside stamp_run_cfg.
                  HeapPolicyScope heap_scope(p.policy, p.color_sets);
-                 return stamp_rep(app, core::Backend::kRtm, n, fast, seed,
+                 return stamp_run(app, core::Backend::kRtm, n, fast, seed,
                                   label);
                }});
         }
       }
     }
   }
-  std::vector<StampRep> samples =
+  std::vector<stamp::AppResult> samples =
       run_cells(args, "extension_malloc_placement", {}, cells);
 
   util::Table t({"app", "policy", "threads", "abort rate", "confl/read-cap",
@@ -89,10 +89,10 @@ int main(int argc, char** argv) {
   for (const StampApp& app : apps) {
     for (const PolicySpec& p : policies) {
       for (uint32_t n : threads) {
-        const StampRep& r = samples[last];
+        const core::RunReport& r = samples[last].report;
         last += reps;
-        const htm::RtmStats& s = r.result.report.rtm;
-        const mem::HeapStats& h = r.result.report.heap;
+        const htm::RtmStats& s = r.rtm;
+        const mem::HeapStats& h = r.heap;
         double attempts =
             static_cast<double>(std::max<uint64_t>(s.attempts, 1));
         auto share = [&](htm::AbortClass cls) {

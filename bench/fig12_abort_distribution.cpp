@@ -26,13 +26,17 @@ int main(int argc, char** argv) {
       tasks.push_back({app, core::Backend::kRtm, n, 9000});
     }
   }
-  std::vector<StampCell> cells =
-      stamp_cells("fig12_abort_distribution", tasks, args);
+  // The RTM half of fig10's grid, simulated again under this driver's own
+  // cell labels (its perf-stat golden pins them); no SEQ baseline is needed.
+  std::vector<stamp::AppResult> runs =
+      stamp_reps("fig12_abort_distribution", tasks, args, &stamp_run);
 
   util::Table t({"app", "threads", "abort rate", "confl/read-cap",
                  "write-cap", "lock", "misc3", "misc5"});
+  const size_t reps = static_cast<size_t>(args.reps);
   for (size_t i = 0; i < tasks.size(); ++i) {
-    const htm::RtmStats& s = cells[i].result.report.rtm;
+    // Per-cell stats come from the last rep, like the other STAMP drivers.
+    const htm::RtmStats& s = runs[i * reps + reps - 1].report.rtm;
     double attempts = static_cast<double>(std::max<uint64_t>(s.attempts, 1));
     auto share = [&](htm::AbortClass c) {
       return static_cast<double>(s.aborts_by_class[static_cast<size_t>(c)]) /

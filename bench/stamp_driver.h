@@ -139,6 +139,19 @@ inline std::vector<StampApp> stamp_apps() {
   return apps;
 }
 
+// One run of one (app, backend, threads) cell, traced under `obs_label`;
+// throws if the app's final state fails validation.
+inline stamp::AppResult stamp_run(const StampApp& app, core::Backend backend,
+                                  uint32_t threads, bool fast, uint64_t seed,
+                                  const std::string& obs_label = "") {
+  ObsLabelScope obs_scope(obs_label);
+  stamp::AppResult run = app.run(backend, threads, seed, fast);
+  if (!run.valid) {
+    throw std::runtime_error(app.name + " invalid: " + run.validation_message);
+  }
+  return run;
+}
+
 // One rep of one (app, backend, threads) cell: the backend run plus its
 // SEQ/1-thread baseline with the same seed. Each call owns two fresh
 // TxRuntime instances, so reps can run concurrently on host threads.
@@ -155,22 +168,19 @@ using StampCell = StampRep;
 inline StampRep stamp_rep(const StampApp& app, core::Backend backend,
                           uint32_t threads, bool fast, uint64_t seed,
                           const std::string& obs_label = "") {
+  // The SEQ baseline runs outside stamp_run's label scope: untraced.
   auto seq = app.run(core::Backend::kSeq, 1, seed, fast);
-  ObsLabelScope obs_scope(obs_label);  // SEQ baseline above stays untraced
-  auto run = app.run(backend, threads, seed, fast);
   if (!seq.valid) {
     throw std::runtime_error(app.name + " SEQ invalid: " +
                              seq.validation_message);
   }
-  if (!run.valid) {
-    throw std::runtime_error(app.name + " invalid: " + run.validation_message);
-  }
   StampRep r;
-  r.norm_time = static_cast<double>(run.report.wall_cycles) /
+  r.result = stamp_run(app, backend, threads, fast, seed, obs_label);
+  const core::RunReport& run = r.result.report;
+  r.norm_time = static_cast<double>(run.wall_cycles) /
                 static_cast<double>(seq.report.wall_cycles);
-  r.norm_energy = run.report.joules() / seq.report.joules();
-  r.wasted_share = run.report.energy_split().wasted_share();
-  r.result = run;
+  r.norm_energy = run.joules() / seq.report.joules();
+  r.wasted_share = run.energy_split().wasted_share();
   return r;
 }
 
@@ -182,14 +192,18 @@ struct StampTask {
   uint64_t seed0 = 9000;
 };
 
-// Computes every task (x reps) through the parallel sweep harness; returns
-// one averaged StampCell per task, in task order. Per-task aggregation runs
-// in rep order, so output is byte-identical for any --jobs value.
-inline std::vector<StampCell> stamp_cells(const std::string& bench_id,
-                                          const std::vector<StampTask>& tasks,
-                                          const BenchArgs& args) {
+// Computes every task x --reps through the parallel sweep harness, one cell
+// per rep (seeded seed0 + rep), each by `rep_fn` (stamp_rep or stamp_run).
+// Returns the reps task-major, in cell order, so any aggregation in that
+// order is byte-identical for every --jobs value.
+template <typename T>
+std::vector<T> stamp_reps(const std::string& bench_id,
+                          const std::vector<StampTask>& tasks,
+                          const BenchArgs& args,
+                          T (*rep_fn)(const StampApp&, core::Backend, uint32_t,
+                                      bool, uint64_t, const std::string&)) {
   const size_t reps = static_cast<size_t>(args.reps);
-  std::vector<Cell<StampRep>> cells;
+  std::vector<Cell<T>> cells;
   for (size_t i = 0; i < tasks.size() * reps; ++i) {
     const StampTask& t = tasks[i / reps];
     const uint64_t seed = t.seed0 + i % reps;
@@ -198,12 +212,22 @@ inline std::vector<StampCell> stamp_cells(const std::string& bench_id,
                          std::to_string(t.threads) + "t:rep" +
                          std::to_string(i % reps),
                      seed,
-                     [&t, seed, fast = args.fast](const std::string& label) {
-                       return stamp_rep(t.app, t.backend, t.threads, fast,
-                                        seed, label);
+                     [&t, seed, fast = args.fast,
+                      rep_fn](const std::string& label) {
+                       return rep_fn(t.app, t.backend, t.threads, fast, seed,
+                                     label);
                      }});
   }
-  std::vector<StampRep> samples = run_cells(args, bench_id, {}, cells);
+  return run_cells(args, bench_id, {}, cells);
+}
+
+// stamp_reps over stamp_rep, averaged per task: one StampCell per task, in
+// task order.
+inline std::vector<StampCell> stamp_cells(const std::string& bench_id,
+                                          const std::vector<StampTask>& tasks,
+                                          const BenchArgs& args) {
+  const size_t reps = static_cast<size_t>(args.reps);
+  std::vector<StampRep> samples = stamp_reps(bench_id, tasks, args, &stamp_rep);
 
   std::vector<StampCell> out(tasks.size());
   for (size_t t = 0; t < tasks.size(); ++t) {

@@ -16,7 +16,6 @@
 #include <utility>
 
 #include "core/runtime.h"
-#include "htm/hle.h"
 #include "mem/layout.h"
 #include "obs/trace_sink.h"
 #include "stm/tinystm.h"
@@ -57,18 +56,16 @@ ScopeHooks make_scope_hooks(const ExecutorEnv& env, bool observe_commit) {
   };
 }
 
-// One speculative elision attempt on a hardware-transactional backend:
-// subscribe the lock word inside the transaction through the executor's own
-// load() (abort kAbortCodeLockBusy when held), run the body, and map the
-// attempt result onto ElideOutcome. Mirrors RtmExecutor::execute's hook
-// ordering so the recorder and heap scoping see elided sections exactly like
-// executor transactions.
-ElideOutcome hw_elide(TxExecutor& ex, const ExecutorEnv& env,
-                      const ScopeHooks& hooks, util::FnRef<void()> body,
-                      Addr lock_word, uint32_t site) {
+// One hardware attempt at `body` with `lock_word` subscribed: the word is
+// read inside the transaction through the executor's own load() (abort
+// kAbortCodeLockBusy when held), so a later write to it dooms the attempt.
+// Mirrors RtmExecutor::execute's hook ordering so the recorder and heap
+// scoping see these attempts exactly like executor transactions.
+htm::AttemptResult hw_attempt(TxExecutor& ex, const ExecutorEnv& env,
+                              const ScopeHooks& hooks,
+                              util::FnRef<void()> body, Addr lock_word) {
   sim::Machine& m = *env.machine;
   CtxId ctx = m.current_ctx();
-  if (env.sink) env.sink->set_site(ctx, site);
   hooks.on_begin();
   htm::AttemptResult r = htm::attempt(m, [&] {
     if (lock_word != 0 && ex.load(ctx, lock_word) != 0) {
@@ -78,9 +75,20 @@ ElideOutcome hw_elide(TxExecutor& ex, const ExecutorEnv& env,
   });
   if (r.committed) {
     hooks.on_commit();
-    return ElideOutcome::kCommitted;
+  } else {
+    hooks.on_abort();
   }
-  hooks.on_abort();
+  return r;
+}
+
+// The one hardware elision attempt (RTM, HLE and the hybrid): hw_attempt
+// at `site`, mapped onto ElideOutcome.
+ElideOutcome hw_elide(TxExecutor& ex, const ExecutorEnv& env,
+                      const ScopeHooks& hooks, util::FnRef<void()> body,
+                      Addr lock_word, uint32_t site) {
+  if (env.sink) env.sink->set_site(env.machine->current_ctx(), site);
+  htm::AttemptResult r = hw_attempt(ex, env, hooks, body, lock_word);
+  if (r.committed) return ElideOutcome::kCommitted;
   if (r.reason == sim::AbortReason::kExplicit &&
       sim::xstatus::unpack_code(r.status) == htm::kAbortCodeLockBusy) {
     return ElideOutcome::kLockBusy;
@@ -144,62 +152,108 @@ class SpinLockExecutor final : public TxExecutor {
   Lock lock_;
 };
 
-// ---- kHle ----
+// ---- Hardware executors (kRtm, kHle) ----
 
-class HleExecutor final : public TxExecutor {
+// What RTM and HLE share: elision attempts through hw_elide, and raw
+// lock-word RMWs (glibc-style). Exclusion against elided sections comes from
+// subscription, and the acquiring CAS must conflict with their read sets
+// immediately, not via a nested block: the CAS itself is the conflict
+// source that dooms subscribed elided sections.
+class HwExecutor : public TxExecutor {
  public:
-  // Stock HLE: one elision attempt, then the real acquisition.
+  explicit HwExecutor(const ExecutorEnv& env)
+      : TxExecutor(env), hooks_(make_scope_hooks(env, true)) {}
+
+  // Elision attempts bypass the executor's own fallback lock: the elided
+  // lock's word is the subscription target, and src/elide owns
+  // retry/fallback and per-lock statistics (rtm_stats() counts execute()
+  // transactions only).
+  ElideOutcome elide(util::FnRef<void()> body, Addr lock_word,
+                     uint32_t site) override {
+    return hw_elide(*this, env_, hooks_, body, lock_word, site);
+  }
+
+  bool lock_cas(Addr a, Word expected, Word desired) override {
+    return env_.machine->load(a) == expected &&
+           env_.machine->cas(a, expected, desired);
+  }
+  Word lock_fetch_add(Addr a, Word delta) override {
+    return env_.machine->fetch_add(a, delta);
+  }
+
+ protected:
+  // Heap scoping and observer bracketing per attempt and per fallback
+  // execution. Fallback sections seal before the unlock; elided ones seal
+  // through the machine's tx-commit trace hook (the later scope-commit call
+  // is an idempotent backstop).
+  ScopeHooks hooks_;
+};
+
+// Stock HLE: the XACQUIRE-prefixed acquisition of one TAS lock elides it,
+// so the section runs as one hardware attempt with the lock word in its
+// read set. No abort status reaches software: on any abort the hardware
+// re-executes the acquisition for real and the section runs under the
+// lock, whose write dooms every concurrently elided section.
+class HleExecutor final : public HwExecutor {
+ public:
   explicit HleExecutor(const ExecutorEnv& env)
-      : TxExecutor(env),
-        lock_(*env.machine, mem::kRuntimeRegionBase + 2 * sim::kLineBytes),
-        elide_hooks_(make_scope_hooks(env, true)) {
+      : HwExecutor(env), lock_(*env.machine, kLockBase) {
     lock_.init();
-    // Heap scoping and observer bracketing fire per elision attempt;
-    // lock-path sections seal before the unlock, elided sections seal
-    // through the machine's tx-commit trace hook (the later scope-commit
-    // call is an idempotent backstop).
-    lock_.set_scope_hooks(make_scope_hooks(env, true));
-    lock_.set_sink(env.sink);
   }
 
   const char* name() const override { return "HLE"; }
 
   void execute(util::FnRef<void()> body, uint32_t site) override {
-    if (env_.sink) env_.sink->set_site(env_.machine->current_ctx(), site);
-    lock_.critical_section(body);
+    sim::Machine& m = *env_.machine;
+    CtxId ctx = m.current_ctx();
+    size_t site_idx = ledger_.open(site);
+    if (env_.sink) env_.sink->set_site(ctx, site);
+    htm::AttemptResult r = hw_attempt(*this, env_, hooks_, body, kLockBase);
+    ledger_.record(site_idx, r,
+                   htm::RtmExecutor::classify(r, sim::line_of(kLockBase)));
+    if (r.committed) return;
+
+    if (env_.sink) env_.sink->retry_decision(ctx, m.now(), true, 0);
+    Cycles t0 = m.now();
+    lock_.lock();
+    hooks_.on_begin();
+    try {
+      body();
+    } catch (...) {
+      hooks_.on_abort();
+      lock_.unlock();
+      throw;
+    }
+    // Commit while the lock is still held: the section's effects become
+    // visible to other contexts only at the unlock.
+    hooks_.on_commit();
+    lock_.unlock();
+    ledger_.fallback(site_idx, m.now() - t0);
   }
 
-  ElideOutcome elide(util::FnRef<void()> body, Addr lock_word,
-                     uint32_t site) override {
-    return hw_elide(*this, env_, elide_hooks_, body, lock_word, site);
-  }
-
-  // Hardware elision needs raw lock-word RMWs (glibc-style): exclusion
-  // against elided sections comes from subscription, and the acquiring CAS
-  // must conflict with their read sets immediately, not via a nested block.
-  bool lock_cas(sim::Addr a, sim::Word expected, sim::Word desired) override {
-    return env_.machine->load(a) == expected &&
-           env_.machine->cas(a, expected, desired);
-  }
-  sim::Word lock_fetch_add(sim::Addr a, sim::Word delta) override {
-    return env_.machine->fetch_add(a, delta);
+  htm::RtmStats rtm_stats() const override { return ledger_.total(); }
+  std::vector<std::pair<uint32_t, htm::RtmStats>> rtm_site_stats()
+      const override {
+    return ledger_.sites();
   }
 
  private:
-  htm::HleLock lock_;
-  ScopeHooks elide_hooks_;
+  static constexpr Addr kLockBase =
+      mem::kRuntimeRegionBase + 2 * sim::kLineBytes;
+
+  sync::TasSpinLock lock_;
+  htm::AttemptLedger ledger_;
 };
 
-// ---- kRtm ----
-
-class RtmSerialExecutor final : public TxExecutor {
+// Algorithm 1: hardware attempts with the serial reader/writer lock as the
+// fallback (htm::RtmExecutor).
+class RtmSerialExecutor final : public HwExecutor {
  public:
   RtmSerialExecutor(const ExecutorEnv& env, const RetryPolicy& policy)
-      : TxExecutor(env),
-        rtm_(*env.machine, mem::kRuntimeRegionBase + sim::kLineBytes, policy),
-        elide_hooks_(make_scope_hooks(env, true)) {
+      : HwExecutor(env),
+        rtm_(*env.machine, mem::kRuntimeRegionBase + sim::kLineBytes, policy) {
     rtm_.init();
-    rtm_.set_scope_hooks(make_scope_hooks(env, true));
+    rtm_.set_scope_hooks(hooks_);
     rtm_.set_sink(env.sink);
   }
 
@@ -207,25 +261,6 @@ class RtmSerialExecutor final : public TxExecutor {
 
   void execute(util::FnRef<void()> body, uint32_t site) override {
     rtm_.execute(body, site);
-  }
-
-  // Elision attempts bypass rtm_'s serial lock entirely: the elided lock's
-  // own word is the subscription target, and src/elide owns retry/fallback.
-  // rtm_stats() intentionally keeps counting execute() transactions only;
-  // per-lock elision statistics live in the elide layer and the PMU.
-  ElideOutcome elide(util::FnRef<void()> body, Addr lock_word,
-                     uint32_t site) override {
-    return hw_elide(*this, env_, elide_hooks_, body, lock_word, site);
-  }
-
-  // Raw lock-word RMWs, as for HLE: the CAS itself is the conflict source
-  // that dooms subscribed elided sections.
-  bool lock_cas(sim::Addr a, sim::Word expected, sim::Word desired) override {
-    return env_.machine->load(a) == expected &&
-           env_.machine->cas(a, expected, desired);
-  }
-  sim::Word lock_fetch_add(sim::Addr a, sim::Word delta) override {
-    return env_.machine->fetch_add(a, delta);
   }
 
   bool in_serial_fallback() const override { return rtm_.in_fallback(); }
@@ -237,7 +272,6 @@ class RtmSerialExecutor final : public TxExecutor {
 
  private:
   htm::RtmExecutor rtm_;
-  ScopeHooks elide_hooks_;
 };
 
 // ---- STM-backed executors (kTinyStm, kTl2, and kHybrid's fallback) ----

@@ -13,32 +13,12 @@
 
 namespace tsx::core {
 
-// Energy of the measured region split along the committed-vs-wasted axis,
-// derived from executor attempt-cycle counters (works without obs tracing;
-// the simulated PMU computes an event-derived twin for whole runs). The
-// dynamic + core-active energy is apportioned by attempt-cycle share with
-// non-tx as the exact remainder, so the four terms always sum to the
-// report's total energy; package-idle is static/unattributable.
-struct TxEnergySplit {
-  double committed_j = 0;
-  double wasted_j = 0;  // the paper's "energy spent in aborted work"
-  double non_tx_j = 0;
-  double static_j = 0;
-
-  double total_j() const { return committed_j + wasted_j + non_tx_j + static_j; }
-  // Share of attributable (non-static) energy thrown away in aborted work.
-  double wasted_share() const {
-    double active = committed_j + wasted_j + non_tx_j;
-    return active > 0 ? wasted_j / active : 0.0;
-  }
-};
-
 struct RunReport {
   sim::Cycles wall_cycles = 0;
   double seconds = 0;
   sim::EnergyBreakdown energy;
   sim::MachineStats machine;  // deltas over the measured region
-  htm::RtmStats rtm;          // zero unless backend == kRtm
+  htm::RtmStats rtm;          // hardware attempts: RTM, HLE and Hybrid
   stm::StmStats stm;          // zero unless an STM backend
   // Simulated-heap counters (whole run, not window-diffed: allocator state
   // is cumulative) and the placement policy that produced them.
@@ -57,12 +37,14 @@ struct RunReport {
 
   double joules() const { return energy.total_j(); }
 
-  // Committed-vs-wasted energy attribution over the measured region.
-  // Committed work includes the RTM serial fallback (it performs useful,
-  // retained work, just non-speculatively); wasted is cycles inside
-  // attempts that aborted, hardware or software.
-  TxEnergySplit energy_split() const {
-    TxEnergySplit s;
+  // Committed-vs-wasted energy attribution over the measured region, from
+  // executor attempt-cycle counters (works without obs tracing). Committed
+  // work includes the hardware executors' fallback sections (they perform
+  // useful, retained work, just non-speculatively); wasted is cycles inside
+  // attempts that aborted, hardware or software. The apportioning
+  // denominator is the larger of core-busy and attempt cycles.
+  sim::EnergySplit energy_split() const {
+    sim::EnergySplit s;
     s.static_j = energy.package_idle_j;
     double active_j = energy.total_j() - energy.package_idle_j;
     double committed = static_cast<double>(rtm.cycles_committed) +

@@ -14,10 +14,11 @@
 namespace tsx::core {
 
 // How an HTM fast path watches its fallback lock (the ablation's knob).
+// Both modes read the lock inside the transaction, which is what makes a
+// fallback acquisition abort the speculative sections.
 enum class LockSubscription : uint8_t {
   kSubscribeInTx = 0,  // Algorithm 1: read the lock inside the transaction
   kWaitThenSubscribe,  // spin for lock-free before xbegin, then subscribe
-  kNone,               // unsafe in general; provided for the ablation only
 };
 
 struct RetryPolicy {

@@ -227,7 +227,7 @@ bool shared_mutex::try_lock(core::TxCtx& ctx) {
   Word me = owner_token(ctx);
   if (!ctx.lock_cas(writer_word(), 0, me)) return false;
   if (ctx.load(reader_word()) != 0) {
-    // Readers in flight: back out, like sync::SerialRwLock::try_write_lock.
+    // Readers in flight: back out instead of waiting them down.
     ctx.lock_cas(writer_word(), me, 0);
     return false;
   }

@@ -104,9 +104,7 @@ void RtmExecutor::execute(util::FnRef<void()> body, uint32_t site) {
     }
     hooks_.on_begin();
     AttemptResult r = attempt(m_, [&] {
-      if (policy_.subscription != core::LockSubscription::kNone) {
-        if (!lock_.read_can_lock()) m_.tx_abort(kAbortCodeLockBusy);
-      }
+      if (!lock_.read_can_lock()) m_.tx_abort(kAbortCodeLockBusy);
       body();
     });
     if (r.committed) {
@@ -127,9 +125,8 @@ void RtmExecutor::execute(util::FnRef<void()> body, uint32_t site) {
     if (sink_) sink_->retry_decision(m_.current_ctx(), m_.now(), false, 0);
   }
 
-  // Serial fallback. With kNoSubscription this is unsafe against running
-  // transactions (the ablation measures exactly that); with subscription it
-  // aborts all of them via the lock line.
+  // Serial fallback: the writer-flag CAS aborts every running transaction
+  // through its subscription to the lock line.
   if (sink_) sink_->retry_decision(m_.current_ctx(), m_.now(), true, 0);
   Cycles t0 = m_.now();
   per_ctx_[m_.current_ctx()].in_fallback = true;

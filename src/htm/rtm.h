@@ -73,12 +73,12 @@ struct RtmStats {
   uint64_t transactions = 0;  // execute() calls
   uint64_t attempts = 0;
   uint64_t commits = 0;
-  uint64_t fallbacks = 0;  // executions that took the serial lock
+  uint64_t fallbacks = 0;  // executions that took the fallback lock
   std::array<uint64_t, static_cast<size_t>(AbortClass::kCount)> aborts_by_class{};
   std::array<uint64_t, static_cast<size_t>(AbortReason::kCount)> aborts_by_reason{};
   Cycles cycles_committed = 0;  // in committing attempts
   Cycles cycles_aborted = 0;    // wasted in aborting attempts
-  Cycles cycles_fallback = 0;   // in serial sections (incl. lock wait)
+  Cycles cycles_fallback = 0;   // in fallback sections (incl. lock wait)
 
   uint64_t aborts() const {
     uint64_t s = 0;
@@ -100,7 +100,7 @@ struct RtmStats {
 };
 
 // The hardware-attempt ledger of one executor: total and per-site RtmStats.
-// RtmExecutor and the Hybrid TM executor both account through it.
+// RtmExecutor and the HLE and Hybrid TM executors all account through it.
 class AttemptLedger {
  public:
   // Counts one execute() call at `site` and returns the site's index. Hold

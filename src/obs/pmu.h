@@ -58,19 +58,6 @@ struct TxCycleSplit {
   sim::Cycles total() const { return committed + wasted + non_tx + idle; }
 };
 
-// EnergyBreakdown split along the committed-vs-wasted axis. The dynamic +
-// core-active energy is apportioned by cycle share, with non_tx_j computed
-// as the remainder so the four terms sum to total_j() exactly; the
-// package-idle term is static and unattributable.
-struct EnergySplit {
-  double committed_j = 0;
-  double wasted_j = 0;  // the paper's "energy spent in aborted work"
-  double non_tx_j = 0;
-  double static_j = 0;  // package idle / uncore
-
-  double total_j() const { return committed_j + wasted_j + non_tx_j + static_j; }
-};
-
 // One named counter of the perf-stat report: the simulator counter's value
 // under the Haswell perf event name the paper measured (DESIGN.md carries
 // the full mapping table).
@@ -153,7 +140,7 @@ struct PmuData {
   std::vector<PmuCtxSplit> ctx;  // one per hardware thread
   TxCycleSplit split;
   sim::EnergyBreakdown energy;  // whole-run (not measured-region) energy
-  EnergySplit energy_split;
+  sim::EnergySplit energy_split;  // by the per-context cycle split
 
   Log2Histogram tx_duration;    // committed attempt durations, cycles
   Log2Histogram abort_latency;  // aborted attempt durations, cycles

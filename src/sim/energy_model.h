@@ -38,6 +38,25 @@ struct EnergyBreakdown {
   double total_j() const { return dynamic_j + core_active_j + package_idle_j; }
 };
 
+// An EnergyBreakdown split along the committed-vs-wasted axis. The dynamic +
+// core-active energy is apportioned by cycle share, with non_tx_j as the
+// remainder so the four terms sum to the breakdown's total exactly; the
+// package-idle term is static and unattributable. core::RunReport derives
+// one from executor attempt cycles, obs::PmuData from the event fold.
+struct EnergySplit {
+  double committed_j = 0;
+  double wasted_j = 0;  // the paper's "energy spent in aborted work"
+  double non_tx_j = 0;
+  double static_j = 0;  // package idle / uncore
+
+  double total_j() const { return committed_j + wasted_j + non_tx_j + static_j; }
+  // Share of attributable (non-static) energy thrown away in aborted work.
+  double wasted_share() const {
+    double active = committed_j + wasted_j + non_tx_j;
+    return active > 0 ? wasted_j / active : 0.0;
+  }
+};
+
 class EnergyModel {
  public:
   explicit EnergyModel(const EnergyParams& p, double freq_ghz)

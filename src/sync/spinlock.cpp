@@ -14,20 +14,6 @@ void TicketSpinLock::unlock() {
   m_.store(serving_addr(), serving + 1);
 }
 
-bool TicketSpinLock::try_lock() {
-  Word serving = m_.load(serving_addr());
-  Word next = m_.load(next_addr());
-  if (next != serving) return false;
-  // Claim the next ticket only if nobody else took it meanwhile.
-  return m_.cas(next_addr(), next, next + 1);
-}
-
-bool TicketSpinLock::is_locked() {
-  Word next = m_.load(next_addr());
-  Word serving = m_.load(serving_addr());
-  return next != serving;
-}
-
 void TasSpinLock::lock() {
   for (;;) {
     if (m_.load(base_) == 0 && m_.cas(base_, 0, 1)) return;
@@ -35,13 +21,7 @@ void TasSpinLock::lock() {
   }
 }
 
-bool TasSpinLock::try_lock() {
-  return m_.load(base_) == 0 && m_.cas(base_, 0, 1);
-}
-
 void TasSpinLock::unlock() { m_.store(base_, 0); }
-
-bool TasSpinLock::is_locked() { return m_.load(base_) != 0; }
 
 bool SerialRwLock::read_can_lock() { return m_.load(writer_addr()) == 0; }
 
@@ -65,22 +45,5 @@ void SerialRwLock::write_lock() {
 }
 
 void SerialRwLock::write_unlock() { m_.store(writer_addr(), 0); }
-
-bool SerialRwLock::try_read_lock() {
-  m_.fetch_add(reader_addr(), 1);
-  if (m_.load(writer_addr()) == 0) return true;
-  m_.fetch_add(reader_addr(), static_cast<Word>(-1));
-  return false;
-}
-
-bool SerialRwLock::try_write_lock() {
-  if (!m_.cas(writer_addr(), 0, 1)) return false;
-  if (m_.load(reader_addr()) != 0) {
-    // Readers in flight: back out instead of waiting them down.
-    m_.store(writer_addr(), 0);
-    return false;
-  }
-  return true;
-}
 
 }  // namespace tsx::sync

@@ -33,10 +33,7 @@ class TicketSpinLock {
   }
 
   void lock();
-  // Takes a ticket only when it would be served immediately; never waits.
-  bool try_lock();
   void unlock();
-  bool is_locked();  // simulated read
 
  private:
   Addr next_addr() const { return base_; }
@@ -56,9 +53,7 @@ class TasSpinLock {
   void init() { m_.poke(base_, 0); }
 
   void lock();
-  bool try_lock();
   void unlock();
-  bool is_locked();
 
  private:
   Machine& m_;
@@ -94,17 +89,9 @@ class SerialRwLock {
   void write_lock();
   void write_unlock();
 
-  // Non-blocking acquires, needed by elision fallback paths (src/elide)
-  // that must bound the time spent holding other resources. try_read_lock
-  // uses read_lock's optimistic increment-then-check protocol, so a failed
-  // try still costs two reader-count RMWs (the real coherence price).
-  bool try_read_lock();
-  bool try_write_lock();
-
+ private:
   Addr writer_addr() const { return base_; }
   Addr reader_addr() const { return base_ + sim::kWordBytes; }
-
- private:
 
   Machine& m_;
   Addr base_;

@@ -1,145 +1,158 @@
+// HLE through the runtime (Backend::kHle): one elided attempt with the TAS
+// lock word subscribed, then the real acquisition; RunReport::rtm accounts
+// both.
+
 #include <gtest/gtest.h>
 
-#include "htm/hle.h"
-#include "sim/machine.h"
+#include "core/runtime.h"
 
 namespace {
 
-using namespace tsx::sim;
-using tsx::htm::HleLock;
+using namespace tsx::core;
+using tsx::htm::AbortClass;
+using tsx::htm::RtmStats;
 
-MachineConfig quiet() {
-  MachineConfig cfg;
-  cfg.interrupts_enabled = false;
+RunConfig hle_cfg(uint32_t threads) {
+  RunConfig cfg;
+  cfg.backend = Backend::kHle;
+  cfg.threads = threads;
+  cfg.machine.interrupts_enabled = false;
   return cfg;
 }
 
-constexpr Addr kLock = 0x1000;
-constexpr Addr kData = 0x2000;
-
-TEST(HleLock, UncontendedSectionsElide) {
-  Machine m(quiet(), 1);
-  m.prefault(kLock, 4096);
-  m.prefault(kData, 4096);
-  HleLock lock(m, kLock);
-  lock.init();
-  m.set_thread(0, [&] {
-    for (int i = 0; i < 20; ++i) {
-      lock.critical_section([&] { m.store(kData, m.load(kData) + 1); });
-    }
-  });
-  m.run();
-  EXPECT_EQ(m.peek(kData), 20u);
-  EXPECT_EQ(lock.stats().elided_commits, 20u);
-  EXPECT_EQ(lock.stats().lock_acquisitions, 0u);
-  EXPECT_DOUBLE_EQ(lock.stats().elision_rate(), 1.0);
+// Share of sections that committed speculatively.
+double elision_rate(const RtmStats& s) {
+  return s.transactions ? static_cast<double>(s.commits) /
+                              static_cast<double>(s.transactions)
+                        : 0.0;
 }
 
-TEST(HleLock, DisjointSectionsRunConcurrently) {
+TEST(HleBackend, UncontendedSectionsElide) {
+  TxRuntime rt(hle_cfg(1));
+  Addr data = rt.heap().host_alloc(8, 64);
+  rt.run([&](TxCtx& ctx) {
+    for (int i = 0; i < 20; ++i) {
+      ctx.transaction([&] { ctx.store(data, ctx.load(data) + 1); });
+    }
+  });
+  RunReport r = rt.report();
+  EXPECT_EQ(rt.machine().peek(data), 20u);
+  EXPECT_EQ(r.rtm.commits, 20u);
+  EXPECT_EQ(r.rtm.fallbacks, 0u);
+  EXPECT_DOUBLE_EQ(elision_rate(r.rtm), 1.0);
+}
+
+TEST(HleBackend, DisjointSectionsRunConcurrently) {
   // Four threads update four different lines under ONE elided lock: with
   // elision they don't serialize (that's the whole point of HLE).
-  Machine m(quiet(), 4);
-  m.prefault(kLock, 4096);
-  m.prefault(kData, 4096);
-  HleLock lock(m, kLock);
-  lock.init();
+  TxRuntime rt(hle_cfg(4));
+  Addr data = rt.heap().host_alloc(4 * 64, 64);
+  rt.run([&](TxCtx& ctx) {
+    Addr mine = data + ctx.id() * 64;
+    for (int i = 0; i < 50; ++i) {
+      ctx.transaction([&] {
+        Word v = ctx.load(mine);
+        ctx.compute(50);
+        ctx.store(mine, v + 1);
+      });
+    }
+  });
   for (CtxId t = 0; t < 4; ++t) {
-    m.set_thread(t, [&m, &lock, t] {
-      Addr mine = kData + t * 64;
-      for (int i = 0; i < 50; ++i) {
-        lock.critical_section([&] {
-          Word v = m.load(mine);
-          m.compute(50);
-          m.store(mine, v + 1);
-        });
-      }
-    });
-  }
-  m.run();
-  for (CtxId t = 0; t < 4; ++t) {
-    EXPECT_EQ(m.peek(kData + t * 64), 50u);
+    EXPECT_EQ(rt.machine().peek(data + t * 64), 50u);
   }
   // Near-perfect elision despite sharing the lock.
-  EXPECT_GT(lock.stats().elision_rate(), 0.95);
+  EXPECT_GT(elision_rate(rt.report().rtm), 0.95);
 }
 
-TEST(HleLock, ConflictingSectionsStayAtomic) {
-  Machine m(quiet(), 4);
-  m.prefault(kLock, 4096);
-  m.prefault(kData, 4096);
-  HleLock lock(m, kLock);
-  lock.init();
+TEST(HleBackend, ConflictingSectionsStayAtomic) {
+  TxRuntime rt(hle_cfg(4));
+  Addr data = rt.heap().host_alloc(8, 64);
   const int iters = 150;
-  for (CtxId t = 0; t < 4; ++t) {
-    m.set_thread(t, [&m, &lock] {
-      for (int i = 0; i < iters; ++i) {
-        lock.critical_section([&] {
-          Word v = m.load(kData);
-          m.compute(25);
-          m.store(kData, v + 1);
-        });
-      }
-    });
-  }
-  m.run();
-  EXPECT_EQ(m.peek(kData), 4u * iters);
-  EXPECT_GT(lock.stats().elision_aborts, 0u);
-  EXPECT_GT(lock.stats().lock_acquisitions, 0u);
+  rt.run([&](TxCtx& ctx) {
+    for (int i = 0; i < iters; ++i) {
+      ctx.transaction([&] {
+        Word v = ctx.load(data);
+        ctx.compute(25);
+        ctx.store(data, v + 1);
+      });
+    }
+  });
+  RunReport r = rt.report();
+  EXPECT_EQ(rt.machine().peek(data), 4u * iters);
+  EXPECT_GT(r.rtm.aborts(), 0u);
+  EXPECT_GT(r.rtm.fallbacks, 0u);
 }
 
-TEST(HleLock, CapacityOverflowFallsBackToRealLock) {
-  Machine m(quiet(), 1);
-  m.prefault(kLock, 4096);
-  m.prefault(0x100000, 1024 * 1024);
-  HleLock lock(m, kLock);
-  lock.init();
-  m.set_thread(0, [&] {
-    lock.critical_section([&] {
-      for (int i = 0; i < 700; ++i) {  // beyond 512-line write capacity
-        m.store(0x100000 + static_cast<Addr>(i) * 64, 1);
+TEST(HleBackend, CapacityOverflowFallsBackToRealLock) {
+  TxRuntime rt(hle_cfg(1));
+  const int kLines = 700;  // beyond the 512-line write capacity
+  Addr big = rt.heap().host_alloc(kLines * 64, 64);
+  rt.run([&](TxCtx& ctx) {
+    ctx.transaction([&] {
+      for (int i = 0; i < kLines; ++i) {
+        ctx.store(big + static_cast<Addr>(i) * 64, 1);
       }
     });
   });
-  m.run();
-  EXPECT_EQ(lock.stats().elided_commits, 0u);
-  EXPECT_EQ(lock.stats().lock_acquisitions, 1u);
-  for (int i = 0; i < 700; ++i) {
-    EXPECT_EQ(m.peek(0x100000 + static_cast<Addr>(i) * 64), 1u);
+  RunReport r = rt.report();
+  EXPECT_EQ(r.rtm.commits, 0u);
+  EXPECT_EQ(r.rtm.fallbacks, 1u);
+  for (int i = 0; i < kLines; ++i) {
+    EXPECT_EQ(rt.machine().peek(big + static_cast<Addr>(i) * 64), 1u);
   }
 }
 
-TEST(HleLock, RealAcquisitionAbortsElidedSections) {
-  // Thread 0 overflows (taking the real lock); thread 1 runs elided
-  // sections which must abort-and-wait during the acquisition, keeping
-  // the shared counter exact.
-  Machine m(quiet(), 2);
-  m.prefault(kLock, 4096);
-  m.prefault(kData, 4096);
-  m.prefault(0x100000, 1024 * 1024);
-  HleLock lock(m, kLock, /*elision_attempts=*/3);
-  lock.init();
-  m.set_thread(0, [&] {
+// Thread 0 overflows (taking the real lock) four times; thread 1 runs 100
+// short elided sections, which abort while thread 0 acquires or holds it.
+RunReport run_overflow_against_elided(Word* counter) {
+  TxRuntime rt(hle_cfg(2));
+  const int kLines = 700;
+  Addr big = rt.heap().host_alloc(kLines * 64, 64);
+  Addr data = rt.heap().host_alloc(8, 64);
+  std::vector<std::function<void(TxCtx&)>> workers;
+  workers.emplace_back([&](TxCtx& ctx) {
     for (int r = 0; r < 4; ++r) {
-      lock.critical_section([&] {
-        Word v = m.load(kData);
-        for (int i = 1; i < 700; ++i) {
-          m.store(0x100000 + static_cast<Addr>(i) * 64, v);
+      ctx.transaction([&] {
+        Word v = ctx.load(data);
+        for (int i = 1; i < kLines; ++i) {
+          ctx.store(big + static_cast<Addr>(i) * 64, v);
         }
-        m.store(kData, v + 1);
+        ctx.store(data, v + 1);
       });
     }
   });
-  m.set_thread(1, [&] {
+  workers.emplace_back([&](TxCtx& ctx) {
     for (int i = 0; i < 100; ++i) {
-      lock.critical_section([&] {
-        Word v = m.load(kData);
-        m.compute(20);
-        m.store(kData, v + 1);
+      ctx.transaction([&] {
+        Word v = ctx.load(data);
+        ctx.compute(20);
+        ctx.store(data, v + 1);
       });
     }
   });
-  m.run();
-  EXPECT_EQ(m.peek(kData), 104u);
+  rt.run(std::move(workers));
+  *counter = rt.machine().peek(data);
+  return rt.report();
+}
+
+TEST(HleBackend, RealAcquisitionAbortsElidedSections) {
+  // The elided sections must abort-and-wait during the acquisition, keeping
+  // the shared counter exact.
+  Word counter = 0;
+  run_overflow_against_elided(&counter);
+  EXPECT_EQ(counter, 104u);
+}
+
+TEST(HleBackend, ReportsAttemptsAndLockAborts) {
+  Word counter = 0;
+  RunReport r = run_overflow_against_elided(&counter);
+  EXPECT_EQ(r.rtm.transactions, 104u);
+  EXPECT_EQ(r.rtm.attempts, r.rtm.transactions);  // stock HLE: one attempt
+  EXPECT_EQ(r.rtm.commits + r.rtm.fallbacks, r.rtm.transactions);
+  EXPECT_GE(r.rtm.fallbacks, 4u);  // every overflowing section
+  EXPECT_GT(r.rtm.aborts_by_class[static_cast<size_t>(AbortClass::kLock)],
+            0u);
+  EXPECT_EQ(r.site_stats(0).attempts, r.rtm.attempts);
 }
 
 }  // namespace

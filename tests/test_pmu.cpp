@@ -275,7 +275,7 @@ TEST(RunReport, EnergySplitSumsToReportTotal) {
   core::TxRuntime rt(pmu_cfg(Backend::kRtm, 2, false));
   run_counter_workload(rt, 2);
   core::RunReport rep = rt.report();
-  core::TxEnergySplit s = rep.energy_split();
+  sim::EnergySplit s = rep.energy_split();
   EXPECT_NEAR(s.total_j(), rep.joules(), 1e-12);
   EXPECT_GT(s.committed_j, 0.0);
   EXPECT_GE(s.wasted_share(), 0.0);

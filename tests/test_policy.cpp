@@ -126,17 +126,9 @@ TEST_P(SubscriptionMode, FallbackHeavyWorkload) {
   EXPECT_EQ(r.rtm.fallbacks, static_cast<uint64_t>(overflows));
   uint64_t lock_aborts =
       r.rtm.aborts_by_class[static_cast<size_t>(tsx::htm::AbortClass::kLock)];
-  if (mode == LockSubscription::kNone) {
-    // Nothing ever reads the lock line speculatively and nothing aborts
-    // with the lock-busy code, so the lock-abort bucket must stay empty.
-    // (Correctness of the counter is NOT guaranteed in this mode — that is
-    // the point of the ablation — so it is not asserted.)
-    EXPECT_EQ(lock_aborts, 0u);
-  } else {
-    // Subscribed modes keep the counter exact even with serial sections
-    // interleaved.
-    EXPECT_EQ(rt.machine().peek(counter), static_cast<Word>(iters));
-  }
+  // Both modes subscribe, which keeps the counter exact even with serial
+  // sections interleaved.
+  EXPECT_EQ(rt.machine().peek(counter), static_cast<Word>(iters));
   if (mode == LockSubscription::kSubscribeInTx) {
     // In-tx subscription converts overlapping serial sections into
     // observable lock-class aborts.
@@ -147,13 +139,11 @@ TEST_P(SubscriptionMode, FallbackHeavyWorkload) {
 INSTANTIATE_TEST_SUITE_P(
     AllModes, SubscriptionMode,
     ::testing::Values(LockSubscription::kSubscribeInTx,
-                      LockSubscription::kWaitThenSubscribe,
-                      LockSubscription::kNone),
+                      LockSubscription::kWaitThenSubscribe),
     [](const auto& param_info) {
       switch (param_info.param) {
         case LockSubscription::kSubscribeInTx: return "SubscribeInTx";
         case LockSubscription::kWaitThenSubscribe: return "WaitThenSubscribe";
-        case LockSubscription::kNone: return "None";
       }
       return "Unknown";
     });

@@ -39,21 +39,6 @@ TEST(TicketSpinLock, MutualExclusionUnderContention) {
   EXPECT_EQ(m.peek(kData), 4u * iters);
 }
 
-TEST(TicketSpinLock, IsLockedReflectsState) {
-  Machine m(quiet(), 1);
-  m.prefault(kLock, 4096);
-  TicketSpinLock lock(m, kLock);
-  lock.init();
-  m.set_thread(0, [&] {
-    EXPECT_FALSE(lock.is_locked());
-    lock.lock();
-    EXPECT_TRUE(lock.is_locked());
-    lock.unlock();
-    EXPECT_FALSE(lock.is_locked());
-  });
-  m.run();
-}
-
 TEST(TicketSpinLock, FifoOrderAmongWaiters) {
   Machine m(quiet(), 3);
   m.prefault(kLock, 4096);
@@ -95,22 +80,6 @@ TEST(TasSpinLock, MutualExclusion) {
   EXPECT_EQ(m.peek(kData), 400u);
 }
 
-TEST(TasSpinLock, TryLock) {
-  Machine m(quiet(), 1);
-  m.prefault(kLock, 4096);
-  TasSpinLock lock(m, kLock);
-  lock.init();
-  m.set_thread(0, [&] {
-    EXPECT_TRUE(lock.try_lock());
-    EXPECT_TRUE(lock.is_locked());
-    EXPECT_FALSE(lock.try_lock());
-    lock.unlock();
-    EXPECT_TRUE(lock.try_lock());
-    lock.unlock();
-  });
-  m.run();
-}
-
 TEST(SerialRwLock, WriterExcludesWriter) {
   Machine m(quiet(), 2);
   m.prefault(kLock, 4096);
@@ -145,107 +114,6 @@ TEST(SerialRwLock, ReadCanLockTracksWriter) {
     EXPECT_TRUE(lock.read_can_lock());
   });
   m.run();
-}
-
-TEST(TicketSpinLock, TryLockNeverWaits) {
-  Machine m(quiet(), 1);
-  m.prefault(kLock, 4096);
-  TicketSpinLock lock(m, kLock);
-  lock.init();
-  m.set_thread(0, [&] {
-    EXPECT_TRUE(lock.try_lock());
-    EXPECT_TRUE(lock.is_locked());
-    EXPECT_FALSE(lock.try_lock());  // would have to queue: refuses
-    lock.unlock();
-    EXPECT_FALSE(lock.is_locked());
-    EXPECT_TRUE(lock.try_lock());
-    lock.unlock();
-  });
-  m.run();
-}
-
-TEST(TicketSpinLock, TryLockKeepsFifoWithBlockedWaiter) {
-  Machine m(quiet(), 2);
-  m.prefault(kLock, 4096);
-  bool tried = false, try_result = true;
-  TicketSpinLock lock(m, kLock);
-  lock.init();
-  m.set_thread(0, [&] {
-    lock.lock();
-    m.compute(5000);  // hold while thread 1 tries
-    lock.unlock();
-  });
-  m.set_thread(1, [&] {
-    m.compute(500);  // arrive while thread 0 holds the lock
-    try_result = lock.try_lock();
-    tried = true;
-  });
-  m.run();
-  EXPECT_TRUE(tried);
-  EXPECT_FALSE(try_result);
-  // Failed try must not burn a ticket: next == serving after the run
-  // (host-side peek; is_locked() is a simulated read and needs a fiber).
-  EXPECT_EQ(m.peek(kLock), m.peek(kLock + kWordBytes));
-}
-
-TEST(SerialRwLock, TryReadLockFailsUnderWriter) {
-  Machine m(quiet(), 1);
-  m.prefault(kLock, 4096);
-  SerialRwLock lock(m, kLock);
-  lock.init();
-  m.set_thread(0, [&] {
-    EXPECT_TRUE(lock.try_read_lock());
-    EXPECT_TRUE(lock.try_read_lock());  // readers share
-    lock.read_unlock();
-    lock.read_unlock();
-    lock.write_lock();
-    EXPECT_FALSE(lock.try_read_lock());
-    lock.write_unlock();
-    EXPECT_TRUE(lock.try_read_lock());
-    lock.read_unlock();
-  });
-  m.run();
-}
-
-TEST(SerialRwLock, TryWriteLockFailsUnderReadersOrWriter) {
-  Machine m(quiet(), 1);
-  m.prefault(kLock, 4096);
-  SerialRwLock lock(m, kLock);
-  lock.init();
-  m.set_thread(0, [&] {
-    lock.read_lock();
-    EXPECT_FALSE(lock.try_write_lock());      // reader present: backs out
-    EXPECT_EQ(m.load(lock.writer_addr()), 0u);  // writer flag restored
-    lock.read_unlock();
-    EXPECT_TRUE(lock.try_write_lock());
-    EXPECT_FALSE(lock.try_write_lock());      // writer excludes writer
-    lock.write_unlock();
-  });
-  m.run();
-}
-
-TEST(SerialRwLock, TryWriteBackoutUnblocksLaterReaders) {
-  Machine m(quiet(), 2);
-  m.prefault(kLock, 4096);
-  bool writer_tried = false, writer_got = true;
-  SerialRwLock lock(m, kLock);
-  lock.init();
-  m.set_thread(0, [&] {
-    lock.read_lock();
-    m.compute(5000);
-    lock.read_unlock();
-  });
-  m.set_thread(1, [&] {
-    m.compute(500);  // arrive while the reader holds the lock
-    writer_got = lock.try_write_lock();
-    writer_tried = true;
-    // The failed try must leave the lock usable for everyone.
-    lock.read_lock();
-    lock.read_unlock();
-  });
-  m.run();
-  EXPECT_TRUE(writer_tried);
-  EXPECT_FALSE(writer_got);
 }
 
 TEST(SerialRwLock, WriterWaitsForReaders) {
