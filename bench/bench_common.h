@@ -331,12 +331,15 @@ inline harness::RunnerOptions runner_options(const BenchArgs& args,
 
 // One cell of a driver's sweep: `label` names it in the manifest and is the
 // obs label of the one run it traces, `seed` is recorded in the manifest,
-// and `run` computes the cell's result from its label.
+// and `run` computes the cell's result from its label. `cost` is an
+// optional relative cost hint (harness::Job::cost): with --jobs > 1 the
+// costliest cells start first.
 template <typename T>
 struct Cell {
   std::string label;
   uint64_t seed = 0;
   std::function<T(const std::string& label)> run;
+  double cost = 0;
 };
 
 // The one way a driver runs its simulations: every cell through
@@ -371,6 +374,7 @@ std::vector<T> run_cells(const BenchArgs& args, const std::string& bench_id,
           harness::Job j;
           j.seed = cells[i].seed;
           j.label = cells[i].label;
+          j.cost = cells[i].cost;
           return j;
         });
   } catch (const std::exception& e) {

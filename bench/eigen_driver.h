@@ -58,12 +58,13 @@ inline EigenPoint eigen_rep(core::Backend backend, uint32_t threads,
 }
 
 // One cell of a figure's sweep grid: a backend/thread-count to measure under
-// a fixed Eigenbench configuration.
+// a fixed Eigenbench configuration. `cost` is its cells' Cell::cost hint.
 struct EigenTask {
   core::Backend backend = core::Backend::kRtm;
   uint32_t threads = 4;
   eigenbench::EigenConfig eb;
   uint64_t seed0 = 7000;
+  double cost = 0;
 };
 
 inline void digest_eigen_task(harness::Digest& d, const EigenTask& t) {
@@ -104,10 +105,12 @@ inline std::vector<EigenPoint> eigen_points(const std::string& bench_id,
     cells.push_back({bench_id + ":task" + std::to_string(i / reps) + ":" +
                          core::backend_name(t.backend) + ":rep" +
                          std::to_string(i % reps),
-                     seed, [&t, seed](const std::string& label) {
+                     seed,
+                     [&t, seed](const std::string& label) {
                        return eigen_rep(t.backend, t.threads, t.eb, seed,
                                         label);
-                     }});
+                     },
+                     t.cost});
   }
   std::vector<EigenPoint> samples = run_cells(args, bench_id, dig, cells);
 

@@ -26,15 +26,18 @@ int main(int argc, char** argv) {
 
   // Sweep grid: per working-set size, an RTM and a TinySTM cell. All
   // (cell x rep) runs are independent simulations — the harness shards them
-  // across host cores (--jobs) and returns points in grid order.
+  // across host cores (--jobs) and returns points in grid order. The sizes
+  // ascend and a cell's host time grows with its size, so the size is the
+  // cost hint that starts the largest cells first.
   std::vector<EigenTask> tasks;
   for (uint64_t ws : ws_bytes) {
     eigenbench::EigenConfig eb = paper_default_eb(args.fast ? 120 : 250);
     eb.ws_bytes = ws;
     // Keep total accesses constant across sizes (loops fixed): larger sets
     // are colder, exactly the effect under study.
-    tasks.push_back({core::Backend::kRtm, 4, eb, 7000});
-    tasks.push_back({core::Backend::kTinyStm, 4, eb, 7000});
+    const double cost = static_cast<double>(ws);
+    tasks.push_back({core::Backend::kRtm, 4, eb, 7000, cost});
+    tasks.push_back({core::Backend::kTinyStm, 4, eb, 7000, cost});
   }
   std::vector<EigenPoint> points = eigen_points("fig03_workingset", tasks, args);
 

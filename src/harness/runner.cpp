@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 
@@ -128,6 +129,13 @@ void Runner::run(std::vector<Job> jobs) {
       report(i + 1, false);
     }
   } else {
+    // Costliest first, index breaking ties: the pool's last job to finish
+    // is then a cheap one, not a costly one started late.
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return jobs[a].cost > jobs[b].cost;
+    });
     std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
     std::vector<std::thread> pool;
@@ -135,9 +143,9 @@ void Runner::run(std::vector<Job> jobs) {
     for (unsigned w = 0; w < workers; ++w) {
       pool.emplace_back([&] {
         for (;;) {
-          size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= n) return;
-          run_one(i);
+          size_t k = next.fetch_add(1, std::memory_order_relaxed);
+          if (k >= n) return;
+          run_one(order[k]);
           report(done.fetch_add(1, std::memory_order_relaxed) + 1, false);
         }
       });

@@ -15,10 +15,12 @@
 // Exactness guarantees:
 //   * jobs = 1 runs every Job inline on the calling thread, in index order —
 //     today's serial path, byte for byte (no pool is spawned).
-//   * jobs > 1 runs Jobs on a pool; each Job writes only its own result slot
-//     (closure capture), and callers read the slots in index order after
-//     run() returns, so aggregation order — including floating-point
-//     summation order — matches the serial path.
+//   * jobs > 1 runs Jobs on a pool, starting them in descending Job::cost
+//     (index breaks ties) so a sweep's costliest jobs do not start last;
+//     each Job writes only its own result slot (closure capture), and
+//     callers read the slots in index order after run() returns, so
+//     aggregation order — including floating-point summation order —
+//     matches the serial path.
 //   * If Jobs throw, run() rethrows the exception of the lowest-indexed
 //     failed Job after the pool drains (deterministic failure choice).
 //
@@ -64,6 +66,10 @@ struct Job {
   // Recorded in the manifest; purely descriptive.
   uint64_t seed = 0;
   std::string label;
+  // Relative cost hint, in any unit shared by one run's jobs: the pool
+  // (jobs > 1) starts costlier jobs first. Results, the manifest and the
+  // serial path ignore it.
+  double cost = 0;
 };
 
 struct RunnerOptions {

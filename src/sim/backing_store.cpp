@@ -9,11 +9,7 @@ BackingStore::Page* BackingStore::lookup_slow(uint64_t pno) const {
   std::unique_ptr<Page>* slot = pages_.find(pno);
   if (!slot) return nullptr;
   Page* p = slot->get();
-  // Only present pages enter the cache (lookup_present relies on it).
-  if (p->present) {
-    cache_no_ = pno;
-    cache_page_ = p;
-  }
+  remember(pno, p);  // only present pages (lookup_present relies on it)
   return p;
 }
 
@@ -30,10 +26,7 @@ BackingStore::Page& BackingStore::materialize(uint64_t pno) {
     (*slot)->present = prefaulted(pno);
   }
   Page* p = slot->get();
-  if (p->present) {
-    cache_no_ = pno;
-    cache_page_ = p;
-  }
+  remember(pno, p);
   return *p;
 }
 

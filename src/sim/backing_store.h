@@ -18,11 +18,13 @@
 // present (prefault flags the pages that were materialized before it).
 //
 // Hot-path layout (DESIGN.md §10): the page directory is an open-addressed
-// util::FlatTable keyed by page number, fronted by a one-entry last-page
-// cache. Pages are heap-allocated (unique_ptr slots), so a cached Page* stays
-// valid across table growth, and pages are never freed — the cache needs no
-// invalidation. peek/poke/present are inline: the common case is a cache hit
-// followed by a single indexed load/store.
+// util::FlatTable keyed by page number, fronted by a direct-mapped cache of
+// present pages indexed by the low page-number bits, so accesses that
+// alternate between a few pages (STM metadata and data, a working set that
+// spans pages) keep hitting it. Pages are heap-allocated (unique_ptr slots),
+// so a cached Page* stays valid across table growth, and pages are never
+// freed — the cache needs no invalidation. peek/poke/present are inline: the
+// common case is a cache hit followed by a single indexed load/store.
 
 #include <array>
 #include <cstdint>
@@ -73,21 +75,23 @@ class BackingStore {
   uint64_t pages_allocated() const { return pages_.size(); }
 
   // Hot-path lookup: materialized page holding addr, or null. One compare on
-  // the last-page cache; the table probe is the cold continuation.
+  // the page cache; the table probe is the cold continuation.
   Page* lookup(Addr addr) const {
     uint64_t pno = page_of(addr);
-    if (pno == cache_no_) return cache_page_;
+    const CachedPage& e = cache_[pno % kCachedPages];
+    if (e.pno == pno) return e.page;
     return lookup_slow(pno);
   }
 
   // Hot-path lookup that returns only *present* pages, materializing a
-  // prefaulted page on its first touch. The last-page cache is filled
+  // prefaulted page on its first touch. The page cache is filled
   // exclusively with present pages (and presence is permanent), so a cache
   // hit needs no present check — the fast paths' common case is the single
   // compare.
   Page* lookup_present(Addr addr) {
     uint64_t pno = page_of(addr);
-    if (pno == cache_no_) return cache_page_;
+    const CachedPage& e = cache_[pno % kCachedPages];
+    if (e.pno == pno) return e.page;
     return lookup_present_slow(pno);
   }
 
@@ -107,16 +111,25 @@ class BackingStore {
   Page* lookup_present_slow(uint64_t pno);
   Page& materialize(uint64_t pno);
   bool prefaulted(uint64_t pno) const;
+  // Enters a present page into its page-cache entry; others are left out.
+  void remember(uint64_t pno, Page* p) const {
+    if (p->present) cache_[pno % kCachedPages] = CachedPage{pno, p};
+  }
 
   mutable util::FlatTable<std::unique_ptr<Page>> pages_;
   // Prefaulted page intervals, sorted by `first`, disjoint and non-adjacent.
   std::vector<Interval> prefaulted_;
-  // Last-page cache, holding only *present* pages; valid whenever
-  // cache_no_ != kNoPage (pages are never freed and never lose presence, so
-  // a cached pointer cannot dangle and a cached page cannot fault).
+  // Direct-mapped page cache, holding only *present* pages; an entry is
+  // valid whenever pno != kNoPage (pages are never freed and never lose
+  // presence, so a cached pointer cannot dangle and a cached page cannot
+  // fault). page_of() is below 2^52, so it never equals kNoPage.
   static constexpr uint64_t kNoPage = ~uint64_t{0};
-  mutable uint64_t cache_no_ = kNoPage;
-  mutable Page* cache_page_ = nullptr;
+  static constexpr uint64_t kCachedPages = 64;
+  struct CachedPage {
+    uint64_t pno = kNoPage;
+    Page* page = nullptr;
+  };
+  mutable std::array<CachedPage, kCachedPages> cache_{};
 };
 
 }  // namespace tsx::sim

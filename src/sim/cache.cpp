@@ -16,18 +16,27 @@ Cache::Cache(const CacheGeometry& geom, const char* name)
 
 CacheLine* Cache::fill(uint64_t line_addr,
                        util::FnRef<void(const CacheLine&)> on_evict) {
-  if (probe(line_addr)) {
+  CacheLine* set = set_begin(set_index(line_addr));
+  // Ways are scanned from the last to the first, so the lowest index wins:
+  // `invalid` ends at the first invalid way, and `oldest` (by `<=`) at the
+  // first of equal LRU stamps. The stamps decide only when every way is
+  // valid.
+  bool present = false;
+  uint32_t invalid = ways_;
+  uint32_t oldest = 0;
+  uint64_t oldest_lru = ~uint64_t{0};
+  for (uint32_t w = ways_; w-- > 0;) {
+    const CacheLine& l = set[w];
+    present |= l.tag == line_addr;
+    invalid = l.tag == CacheLine::kNoTag ? w : invalid;
+    bool older = l.lru <= oldest_lru;
+    oldest = older ? w : oldest;
+    oldest_lru = older ? l.lru : oldest_lru;
+  }
+  if (present) {
     throw std::logic_error("fill of already-present line");
   }
-  CacheLine* set = set_begin(set_index(line_addr));
-  CacheLine* victim = nullptr;
-  for (uint32_t w = 0; w < ways_; ++w) {
-    if (!set[w].valid) {
-      victim = &set[w];
-      break;
-    }
-    if (!victim || set[w].lru < victim->lru) victim = &set[w];
-  }
+  CacheLine* victim = &set[invalid != ways_ ? invalid : oldest];
   if (victim->valid) {
     on_evict(*victim);
   }

@@ -59,13 +59,18 @@ class Cache {
   // the way scan for back-to-back hits on one line; it is self-validating
   // (the memoed line still holding the asked-for tag proves it was neither
   // invalidated nor re-filled), so it cannot change any probe result.
+  // The scan visits every way and selects the match without an early exit:
+  // tags are unique within a set, so at most one way matches, and the loop
+  // has the same trip count whichever way hits (or none does).
   CacheLine* probe(uint64_t line_addr) {
     if (mru_->tag == line_addr) return mru_;
     CacheLine* set = set_begin(set_index(line_addr));
+    CacheLine* hit = nullptr;
     for (uint32_t w = 0; w < ways_; ++w) {
-      if (set[w].tag == line_addr) return mru_ = &set[w];
+      hit = set[w].tag == line_addr ? &set[w] : hit;
     }
-    return nullptr;
+    mru_ = hit ? hit : mru_;
+    return hit;
   }
   const CacheLine* probe(uint64_t line_addr) const {
     return const_cast<Cache*>(this)->probe(line_addr);
@@ -83,9 +88,11 @@ class Cache {
     return line;
   }
 
-  // Allocates a slot for `line_addr` (which must not be present), invoking
-  // `on_evict` with the victim line first if a valid line is displaced.
-  // Returns the (re-initialized) line.
+  // Allocates a slot for `line_addr` (which must not be present; filling a
+  // present line throws std::logic_error), invoking `on_evict` with the
+  // victim line first if a valid line is displaced. The victim is the first
+  // invalid way, else the least recently used one. One pass over the set
+  // finds all three. Returns the (re-initialized) line.
   CacheLine* fill(uint64_t line_addr,
                   util::FnRef<void(const CacheLine&)> on_evict);
 

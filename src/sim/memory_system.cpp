@@ -32,21 +32,23 @@ void MemorySystem::tx_begin(CtxId ctx, Cycles begin_clock) {
   ++active_tx_count_;
 }
 
+void MemorySystem::untrack(std::vector<TrackedLine>& lines,
+                           uint8_t CacheLine::*mask, uint8_t bit) {
+  for (const TrackedLine& t : lines) {
+    if (t.slot->tag != t.line) {
+      throw std::logic_error("tracked line left its cache slot");
+    }
+    t.slot->*mask &= static_cast<uint8_t>(~bit);
+  }
+  lines.clear();
+}
+
 void MemorySystem::tx_clear(CtxId ctx) {
   TxTrack& t = tx_[ctx];
   if (!t.active) return;
-  uint32_t core = core_of(ctx);
   uint8_t bit = static_cast<uint8_t>(1u << ctx);
-  for (uint64_t line : t.write_lines) {
-    if (CacheLine* l = l1_[core].probe(line)) {
-      l->tx_write_mask &= static_cast<uint8_t>(~bit);
-    }
-  }
-  for (uint64_t line : t.read_lines) {
-    if (CacheLine* l = l3_.probe(line)) {
-      l->tx_read_mask &= static_cast<uint8_t>(~bit);
-    }
-  }
+  untrack(t.write_slots, &CacheLine::tx_write_mask, bit);
+  untrack(t.read_slots, &CacheLine::tx_read_mask, bit);
   t.write_lines.clear();
   t.read_lines.clear();
   t.active = false;
@@ -284,15 +286,22 @@ Cycles MemorySystem::access(CtxId ctx, Addr addr, bool is_write, bool tx_mode) {
   // Transactional tracking for the requester. The L1/L3 fills above may have
   // aborted the requester itself (self-eviction of its own tx line); the
   // Machine checks the doomed flag after this returns, so tracking a line
-  // for an already-cleared transaction must be avoided.
-  if (tx_mode && tx_[ctx].active) {
+  // for an already-cleared transaction must be avoided. A line already
+  // tracked keeps its bit in the slot recorded when it was first tracked,
+  // so only a newly tracked line sets a bit (and, for a read, probes L3).
+  TxTrack& t = tx_[ctx];
+  if (tx_mode && t.active) {
     if (is_write) {
-      tx_[ctx].write_lines.insert(line);
-      l1l->tx_write_mask |= ctx_bit;
-    } else {
-      tx_[ctx].read_lines.insert(line);
+      if (t.write_lines.insert(line)) {
+        l1l->tx_write_mask |= ctx_bit;
+        t.write_slots.push_back({line, l1l});
+      }
+    } else if (t.read_lines.insert(line)) {
       if (!l3l) l3l = l3_.probe(line);
-      if (l3l) l3l->tx_read_mask |= ctx_bit;
+      if (l3l) {
+        l3l->tx_read_mask |= ctx_bit;
+        t.read_slots.push_back({line, l3l});
+      }
     }
   }
   return lat;

@@ -25,8 +25,10 @@
 // of access()'s L1-hit branch for the zero-live-transactions case. They
 // check every precondition before mutating anything (stats, LRU), so a
 // bail-out to the full access() replays the op with no double-counting.
-// Transactional line sets are util::FlatSet (O(1) epoch clear, insertion-
-// order iteration); caches are stored by value to drop a pointer chase.
+// Transactional line sets are util::FlatSet (O(1) epoch clear); next to
+// them each transaction lists the cache slot of every line it tracks, so
+// tx_clear clears the flags without probing. Caches are stored by value to
+// drop a pointer chase.
 
 #include <cstdint>
 #include <functional>
@@ -131,12 +133,27 @@ class MemorySystem {
   void set_evict_hook(EvictFn fn) { on_evict_ = std::move(fn); }
 
  private:
+  // A tracked line and the cache slot holding its transactional bit. The
+  // slot cannot change while the transaction lives: the caches never move
+  // a line, and evicting or invalidating a tracked line aborts its
+  // transaction (tx_clear) before the slot is reset. tx_clear still checks
+  // each slot's tag and throws std::logic_error if the line is gone.
+  struct TrackedLine {
+    uint64_t line;
+    CacheLine* slot;
+  };
+
   struct TxTrack {
     bool active = false;
     Cycles begin_clock = 0;
     util::FlatSet read_lines;
     util::FlatSet write_lines;
+    std::vector<TrackedLine> read_slots;   // L3 slots of read_lines
+    std::vector<TrackedLine> write_slots;  // the core's L1 slots of write_lines
   };
+
+  static void untrack(std::vector<TrackedLine>& lines,
+                      uint8_t CacheLine::*mask, uint8_t bit);
 
   void check_conflicts(CtxId requester, uint64_t line, bool is_write);
   void on_l1_evict(uint32_t core, CacheLine victim);

@@ -6,11 +6,9 @@
 //                 two growth. Replaces unordered_map on paths where per-node
 //                 allocation and pointer-chasing dominate (backing-store page
 //                 table, sim-heap block directory).
-//   FlatSet      u64 set with O(1) epoch-based clear() and insertion-order
-//                 iteration (a compact element vector doubles as the
-//                 iteration surface, so clearing and walking cost O(size),
-//                 never O(capacity)). Replaces unordered_set for
-//                 transactional read/write line sets.
+//   FlatSet      u64 set with O(1) epoch-based clear(). Replaces
+//                 unordered_set for transactional read/write line sets and
+//                 TL2's commit-time stripe dedup.
 //   WriteIndex   Addr -> u32 position map, small-size-optimized: a linear
 //                 inline array below kInlineCap entries, spilling to an
 //                 epoch-cleared open-addressed table above it. Replaces the
@@ -159,23 +157,22 @@ class FlatTable {
   size_t used_ = 0;  // kFull + kTombstone (probe-length control)
 };
 
-// u64 set with O(1) clear and insertion-order iteration. No erase: the
-// simulator clears transactional line sets wholesale (commit/abort), never
-// element-wise. The element vector keeps iteration and clearing O(size).
+// u64 set with O(1) clear. No erase and no iteration: the simulator clears
+// transactional line sets wholesale (commit/abort), never element-wise.
 class FlatSet {
  public:
   FlatSet() = default;
 
   // Returns true if the key was newly inserted.
   bool insert(uint64_t key) {
-    if (items_.size() + 1 > slots_.size() / 16 * 11) grow();
+    if (size_ + 1 > slots_.size() / 16 * 11) grow();
     size_t i = mix64(key) & mask_;
     for (;;) {
       Slot& s = slots_[i];
       if (s.epoch != epoch_) {
         s.key = key;
         s.epoch = epoch_;
-        items_.push_back(key);
+        ++size_;
         return true;
       }
       if (s.key == key) return false;
@@ -195,20 +192,16 @@ class FlatSet {
   }
   size_t count(uint64_t key) const { return contains(key) ? 1 : 0; }
 
-  size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   void clear() {
-    items_.clear();
+    size_ = 0;
     if (++epoch_ == 0) {  // epoch wraparound: hard-reset the stamps
       for (Slot& s : slots_) s.epoch = 0;
       epoch_ = 1;
     }
   }
-
-  // Insertion-order iteration.
-  std::vector<uint64_t>::const_iterator begin() const { return items_.begin(); }
-  std::vector<uint64_t>::const_iterator end() const { return items_.end(); }
 
  private:
   struct Slot {
@@ -216,23 +209,27 @@ class FlatSet {
     uint32_t epoch = 0;  // slot live iff epoch == epoch_
   };
 
+  // Rehashes the live slots, in slot order, into a table twice the size.
   void grow() {
-    size_t ncap = slots_.empty() ? 16 : slots_.size() * 2;
+    std::vector<Slot> old = std::move(slots_);
+    uint32_t old_epoch = epoch_;
+    size_t ncap = old.empty() ? 16 : old.size() * 2;
     slots_.assign(ncap, Slot{});
     mask_ = ncap - 1;
     epoch_ = 1;
-    for (uint64_t key : items_) {
-      size_t i = mix64(key) & mask_;
+    for (const Slot& o : old) {
+      if (o.epoch != old_epoch) continue;
+      size_t i = mix64(o.key) & mask_;
       while (slots_[i].epoch == epoch_) i = (i + 1) & mask_;
-      slots_[i].key = key;
+      slots_[i].key = o.key;
       slots_[i].epoch = epoch_;
     }
   }
 
   std::vector<Slot> slots_;
   size_t mask_ = 0;
+  size_t size_ = 0;
   uint32_t epoch_ = 1;  // 0 marks never-used slots
-  std::vector<uint64_t> items_;
 };
 
 // Small-size-optimized Addr -> u32 index map for STM write sets: linear scan

@@ -174,4 +174,54 @@ TEST(BackingStore, DistantAddressesIndependent) {
   EXPECT_EQ(bs.peek(0x0001'0000'0000ull), 2u);
 }
 
+// Pages whose numbers differ by a multiple of 2^16 share an entry of any
+// power-of-two page cache up to that size. Alternating between them, every
+// lookup must still return its own page.
+TEST(BackingStore, PagesSharingACacheEntryStayDistinct) {
+  BackingStore bs;
+  const uint64_t stride = uint64_t{1} << 16;  // pages
+  std::vector<Addr> pages;
+  for (uint64_t i = 0; i < 4; ++i) {
+    Addr a = (5 + i * stride) * kPageBytes;
+    bs.poke(a, 100 + i);
+    bs.make_present(a);
+    pages.push_back(a);
+  }
+  std::vector<BackingStore::Page*> own;
+  for (Addr a : pages) own.push_back(bs.lookup(a));
+  for (int round = 0; round < 3; ++round) {
+    for (uint64_t i = 0; i < pages.size(); ++i) {
+      EXPECT_EQ(bs.lookup_present(pages[i]), own[i]) << "page " << i;
+      EXPECT_EQ(bs.lookup(pages[i] + 8), own[i]) << "page " << i;
+      EXPECT_EQ(bs.peek(pages[i]), 100 + i) << "page " << i;
+    }
+  }
+}
+
+// The page cache holds present pages only: a materialized page that is not
+// present, sharing a cache entry with a present one, never comes back from
+// lookup_present, however the lookups interleave, until make_present.
+TEST(BackingStore, LookupPresentSkipsAbsentPageUntilMadePresent) {
+  BackingStore bs;
+  const Addr present = 9 * kPageBytes;
+  const Addr absent = (9 + (uint64_t{1} << 16)) * kPageBytes;
+  bs.make_present(present);
+  bs.poke(absent, 7);  // materialized, not present
+  BackingStore::Page* p = bs.lookup(present);
+  BackingStore::Page* q = bs.lookup(absent);
+  ASSERT_NE(q, nullptr);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(bs.lookup_present(absent), nullptr);
+    EXPECT_EQ(bs.lookup(absent), q);
+    EXPECT_EQ(bs.lookup_present(absent), nullptr);
+    EXPECT_EQ(bs.lookup_present(present), p);
+    EXPECT_EQ(bs.lookup_present(absent), nullptr);
+  }
+  bs.make_present(absent);
+  EXPECT_EQ(bs.lookup_present(absent), q);
+  EXPECT_EQ(bs.lookup_present(present), p);
+  EXPECT_EQ(bs.lookup_present(absent), q);
+  EXPECT_EQ(bs.peek(absent), 7u);
+}
+
 }  // namespace

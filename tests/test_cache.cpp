@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <stdexcept>
+#include <vector>
+
 #include "sim/cache.h"
+#include "sim/config.h"
+#include "sim/rng.h"
 
 namespace {
 
@@ -106,6 +113,132 @@ TEST(Cache, TouchUpdatesRecency) {
   uint64_t evicted = ~0ull;
   c.fill(8, [&](const CacheLine& v) { evicted = v.tag; });
   EXPECT_EQ(evicted, 4u);
+}
+
+// Reference model of the replacement rules: a way scan that stops at the
+// first match, and a victim that is the first invalid way, else the first
+// way with the smallest LRU stamp. Ways are indices, so the model also says
+// which slot a line occupies.
+class RefCache {
+ public:
+  explicit RefCache(const CacheGeometry& g)
+      : sets_(g.sets()), ways_(g.ways), lines_(size_t{sets_} * ways_) {}
+
+  // Way holding `line`, or -1.
+  int probe(uint64_t line) const {
+    const Line* set = &lines_[set_of(line) * ways_];
+    for (uint32_t w = 0; w < ways_; ++w) {
+      if (set[w].valid && set[w].tag == line) return static_cast<int>(w);
+    }
+    return -1;
+  }
+  int touch(uint64_t line) {
+    int w = probe(line);
+    if (w >= 0) lines_[set_of(line) * ways_ + w].lru = ++tick_;
+    return w;
+  }
+  // Returns the way filled; `evicted` is the displaced line or -1.
+  int fill(uint64_t line, int64_t& evicted) {
+    Line* set = &lines_[set_of(line) * ways_];
+    Line* victim = nullptr;
+    for (uint32_t w = 0; w < ways_; ++w) {
+      if (!set[w].valid) {
+        victim = &set[w];
+        break;
+      }
+      if (!victim || set[w].lru < victim->lru) victim = &set[w];
+    }
+    evicted = victim->valid ? static_cast<int64_t>(victim->tag) : -1;
+    *victim = Line{line, ++tick_, true};
+    return static_cast<int>(victim - set);
+  }
+  void invalidate(uint64_t line) {
+    int w = probe(line);
+    if (w >= 0) lines_[set_of(line) * ways_ + w].valid = false;
+  }
+  uint64_t set_of(uint64_t line) const { return line % sets_; }
+
+ private:
+  struct Line {
+    uint64_t tag = 0;
+    uint64_t lru = 0;
+    bool valid = false;
+  };
+  uint32_t sets_;
+  uint32_t ways_;
+  std::vector<Line> lines_;
+  uint64_t tick_ = 0;
+};
+
+// Random probe/touch/fill/invalidate sequences on the default L1 and L3
+// geometries, against RefCache. Lines are drawn from three sets, twice as
+// many per set as there are ways, so fills evict often. Every result must
+// match: hit or miss, the way a line sits in (slot addresses within a set
+// are compared against the model's way indices), each fill's victim and
+// eviction callback, and the throw on filling a present line.
+void check_against_reference(const CacheGeometry& g, uint64_t seed) {
+  Cache c(g, "t");
+  RefCache ref(g);
+  const uint64_t sets = g.sets();
+  const uint64_t probe_sets[] = {0, 1, sets - 1};
+  tsx::sim::Rng rng(seed);
+  // Per set: one line's slot and way, to locate every other slot by offset.
+  std::map<uint64_t, std::pair<const CacheLine*, int>> anchor;
+  auto expect_way = [&](uint64_t line, const CacheLine* got, int way) {
+    auto [it, fresh] = anchor.try_emplace(ref.set_of(line), got, way);
+    if (!fresh) {
+      EXPECT_EQ(got - it->second.first, way - it->second.second);
+    }
+  };
+  for (int step = 0; step < 20000; ++step) {
+    uint64_t line = probe_sets[rng.below(3)] + sets * rng.below(2 * g.ways);
+    int op = static_cast<int>(rng.below(4));
+    SCOPED_TRACE(testing::Message() << g.ways << "-way, step " << step
+                                    << ", op " << op << ", line " << line);
+    if (op == 0) {
+      const CacheLine* got = c.probe(line);
+      int way = ref.probe(line);
+      ASSERT_EQ(got != nullptr, way >= 0);
+      if (got) {
+        EXPECT_EQ(got->tag, line);
+        expect_way(line, got, way);
+      }
+    } else if (op == 1) {
+      const CacheLine* got = c.touch(line);
+      int way = ref.touch(line);
+      ASSERT_EQ(got != nullptr, way >= 0);
+      if (got) expect_way(line, got, way);
+    } else if (op == 2) {
+      if (ref.probe(line) >= 0) {
+        EXPECT_THROW(c.fill(line, [](const CacheLine&) {}), std::logic_error);
+        continue;
+      }
+      int calls = 0;
+      int64_t got_victim = -1;
+      const CacheLine* got = c.fill(line, [&](const CacheLine& v) {
+        ++calls;
+        got_victim = static_cast<int64_t>(v.tag);
+      });
+      int64_t want_victim;
+      int way = ref.fill(line, want_victim);
+      EXPECT_EQ(calls, want_victim >= 0 ? 1 : 0);
+      EXPECT_EQ(got_victim, want_victim);
+      ASSERT_EQ(got->tag, line);
+      expect_way(line, got, way);
+    } else {
+      c.invalidate(line);
+      ref.invalidate(line);
+      EXPECT_EQ(c.probe(line), nullptr);
+    }
+  }
+}
+
+TEST(Cache, MatchesReferenceModelOnL1Geometry) {
+  check_against_reference(tsx::sim::MachineConfig{}.l1, 11);
+}
+
+TEST(Cache, MatchesReferenceModelOnL3Geometry) {
+  check_against_reference(tsx::sim::MachineConfig{}.l3, 12);
 }
 
 }  // namespace

@@ -176,15 +176,6 @@ TEST(FlatSet, InsertContainsClear) {
   EXPECT_TRUE(s.insert(10));  // re-insert after epoch clear
 }
 
-TEST(FlatSet, IterationIsInsertionOrder) {
-  FlatSet s;
-  std::vector<uint64_t> want = {5, 3, 9, 1, 7};
-  for (uint64_t k : want) s.insert(k);
-  s.insert(3);  // duplicate: no effect on order
-  std::vector<uint64_t> got(s.begin(), s.end());
-  EXPECT_EQ(got, want);
-}
-
 TEST(FlatSet, SurvivesGrowthAndManyClears) {
   FlatSet s;
   std::mt19937_64 rng(7);

@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <condition_variable>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -72,6 +74,49 @@ TEST(Runner, SerialPathRunsInlineOnCallingThread) {
   }
   r.run(std::move(jobs));
   EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+// A pool starts jobs in descending cost, index breaking ties. The costliest
+// job holds its worker until every other job has run, so the second worker
+// takes all the others one at a time, in dispatch order. The serial path
+// ignores the hint.
+TEST(Runner, PoolStartsCostliestJobsFirst) {
+  const std::vector<double> cost = {1, 5, 0, 5, 9, 2, 0, 7};
+  const size_t costliest = 4;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<size_t> started;
+  size_t others_done = 0;
+  std::vector<Job> js;
+  for (size_t i = 0; i < cost.size(); ++i) {
+    Job j;
+    j.cost = cost[i];
+    j.fn = [&, i] {
+      std::unique_lock<std::mutex> g(mu);
+      if (i == costliest) {
+        cv.wait_for(g, std::chrono::seconds(10),
+                    [&] { return others_done == cost.size() - 1; });
+        return;
+      }
+      started.push_back(i);
+      ++others_done;
+      cv.notify_all();
+    };
+    js.push_back(std::move(j));
+  }
+  Runner(quiet(2)).run(std::move(js));
+  EXPECT_EQ(started, (std::vector<size_t>{7, 1, 3, 5, 0, 2, 6}));
+
+  std::vector<size_t> serial;
+  std::vector<Job> sj;
+  for (size_t i = 0; i < cost.size(); ++i) {
+    Job j;
+    j.cost = cost[i];
+    j.fn = [&serial, i] { serial.push_back(i); };
+    sj.push_back(std::move(j));
+  }
+  Runner(quiet(1)).run(std::move(sj));
+  EXPECT_EQ(serial, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(Runner, RethrowsLowestIndexedFailure) {

@@ -189,4 +189,107 @@ TEST(MemorySystem, StatsCountAccesses) {
   EXPECT_EQ(h.stats.accesses(), 2u);
 }
 
+// After a transaction ends, by commit or by any abort, no line it touched
+// keeps the context's bit: neither a write bit in its core's L1 nor a read
+// bit in the L3. tx_clear clears them through the slots it recorded, so the
+// four ways a transaction ends must each leave them clean.
+void expect_untracked(Harness& h, CtxId ctx, const std::vector<Addr>& addrs) {
+  const uint8_t bit = static_cast<uint8_t>(1u << ctx);
+  for (Addr a : addrs) {
+    uint64_t line = line_of(a);
+    if (const CacheLine* l = h.mem->l1(h.mem->core_of(ctx)).probe(line)) {
+      EXPECT_EQ(l->tx_write_mask & bit, 0) << "L1 write bit on line " << line;
+    }
+    if (const CacheLine* l = h.mem->l3().probe(line)) {
+      EXPECT_EQ(l->tx_read_mask & bit, 0) << "L3 read bit on line " << line;
+    }
+  }
+  EXPECT_TRUE(h.mem->read_lines(ctx).empty());
+  EXPECT_TRUE(h.mem->write_lines(ctx).empty());
+}
+
+TEST(MemorySystem, CommitLeavesNoTxBits) {
+  Harness h;
+  std::vector<Addr> addrs;
+  h.mem->tx_begin(0, 0);
+  for (int i = 0; i < 24; ++i) {
+    Addr a = 0x50000 + static_cast<Addr>(i) * 64;
+    addrs.push_back(a);
+    h.mem->access(0, a, i % 3 == 0, true);
+    h.mem->access(0, a, false, true);  // re-reads keep their first slot
+  }
+  const uint64_t first = line_of(addrs[0]);  // read, then written
+  EXPECT_EQ(h.mem->l1(0).probe(first)->tx_write_mask, 0b1);
+  EXPECT_EQ(h.mem->l3().probe(first)->tx_read_mask, 0b1);
+  h.mem->tx_clear(0);  // commit
+  EXPECT_TRUE(h.aborts.empty());
+  expect_untracked(h, 0, addrs);
+}
+
+TEST(MemorySystem, ConflictAbortLeavesNoTxBits) {
+  Harness h;
+  std::vector<Addr> addrs;
+  h.mem->tx_begin(0, 0);
+  for (int i = 0; i < 16; ++i) {
+    Addr a = 0x60000 + static_cast<Addr>(i) * 64;
+    addrs.push_back(a);
+    h.mem->access(0, a, i % 2 == 0, true);
+  }
+  h.mem->access(1, addrs[4], true, false);  // core 1 steals a written line
+  ASSERT_EQ(h.aborts.size(), 1u);
+  EXPECT_EQ(h.aborts[0].reason, AbortReason::kConflict);
+  EXPECT_FALSE(h.mem->tx_active(0));
+  expect_untracked(h, 0, addrs);
+}
+
+TEST(MemorySystem, ReadCapacityAbortLeavesNoTxBits) {
+  MachineConfig cfg;
+  cfg.l3 = CacheGeometry{8 * 1024, 2};  // 64 sets of 2
+  cfg.l1 = CacheGeometry{1024, 2};
+  cfg.l2 = CacheGeometry{2048, 2};
+  Harness h(1, cfg);
+  std::vector<Addr> addrs;
+  h.mem->tx_begin(0, 0);
+  for (int i = 0; i < 8; ++i) {  // tracked lines outside the pressured set
+    Addr a = 0x100040 + static_cast<Addr>(i) * 64;
+    addrs.push_back(a);
+    h.mem->access(0, a, i % 2 == 0, true);
+  }
+  for (int i = 0; i < 3; ++i) {  // three reads into one L3 set
+    Addr a = 0x100000 + static_cast<Addr>(i) * 64 * 64;
+    addrs.push_back(a);
+    h.mem->access(0, a, false, true);
+  }
+  ASSERT_EQ(h.aborts.size(), 1u);
+  EXPECT_EQ(h.aborts[0].reason, AbortReason::kReadCapacity);
+  expect_untracked(h, 0, addrs);
+}
+
+TEST(MemorySystem, WriteCapacityAbortInOwnFillLeavesNoTxBits) {
+  Harness h(1);
+  std::vector<Addr> addrs;
+  h.mem->tx_begin(0, 0);
+  for (int i = 0; i < 8; ++i) {  // reads and writes outside the pressured set
+    Addr a = 0x200040 + static_cast<Addr>(i) * 64;
+    addrs.push_back(a);
+    h.mem->access(0, a, i % 2 == 0, true);
+  }
+  // Nine writes into one 8-way L1 set: the ninth fill evicts a line of the
+  // requester's own write set, and the abort runs inside that fill.
+  for (int i = 0; i < 9 && h.aborts.empty(); ++i) {
+    Addr a = 0x200000 + static_cast<Addr>(i) * 64 * 64;
+    addrs.push_back(a);
+    h.mem->access(0, a, true, true);
+  }
+  ASSERT_EQ(h.aborts.size(), 1u);
+  EXPECT_EQ(h.aborts[0].reason, AbortReason::kWriteCapacity);
+  EXPECT_EQ(h.aborts[0].attacker, 0u);
+  expect_untracked(h, 0, addrs);
+  // The next transaction tracks and clears the same lines cleanly.
+  h.mem->tx_begin(0, 1);
+  for (Addr a : addrs) h.mem->access(0, a, false, true);
+  h.mem->tx_clear(0);
+  expect_untracked(h, 0, addrs);
+}
+
 }  // namespace
